@@ -3,7 +3,9 @@
 Everything works over arbitrary-precision integers and fractions; no
 floating point anywhere.  Intersection matrices of resolution graphs are
 trees, so the symmetric elimination below pivots leaf-first and runs with
-essentially no fill-in on those inputs.
+essentially no fill-in on those inputs.  The Smith normal form works modulo
+the determinant: sparse unit-pivot elimination first, then a small dense
+core over Z/|det|.
 """
 
 from __future__ import annotations
@@ -193,73 +195,166 @@ def solve_symmetric(matrix, rhs) -> list[Fraction]:
     return x
 
 
-def invariant_factors(matrix) -> list[int]:
-    """Invariant factors of an integer matrix (Smith normal form diagonal).
+def invariant_factors(rows, det: int) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... | d_n of a nonsingular integer matrix.
 
-    Returns the nonzero factors d_1 | d_2 | ... as positive integers.
-    Pivot selection is by smallest magnitude, which keeps intermediate
-    entries tame for the matrix sizes that occur here.
+    ``rows`` holds the square matrix as sparse integer rows {i: {j: value}}
+    whose column indices are row indices; ``det`` is |det| of the matrix.
+    The cokernel is killed by D = |det|, so all arithmetic runs in Z/D
+    (Domich, Kannan and Trotter, 1987), in two phases:
+
+    1. sparse: pivot on entries coprime to D, least Markowitz cost first,
+       and drop the pivot row and column; each such pivot is a factor 1
+       (unit-pivot pre-elimination, Dumas, Saunders and Villard, 2001);
+    2. core: a dense Smith form over Z/D of what is left, each factor being
+       gcd(pivot, D).
+
+    With D as the modulus the factors come out as gcd(d_i, D): the product
+    check below catches a D that is a proper multiple of the true |det|, but
+    a D that divides it can pass (D = 1 always does).  Callers need an
+    independent check of the torsion order against D.
+
+    Raises ArithmeticError when the factor count, the product or the
+    divisibility chain comes out wrong.
     """
-    A = [[int(x) for x in row] for row in matrix]
+    n = len(rows)
+    if det < 1:
+        raise ValueError(f"invariant_factors needs |det| >= 1, got {det}")
+    if det == 1:
+        return [1] * n
+    ones, core = _unit_pivots(rows, det)
+    factors = [1] * ones + _core_factors(core, det)
+    if len(factors) != n:
+        raise ArithmeticError(f"{len(factors)} invariant factors for dimension {n}")
+    if math.prod(factors) != det:
+        raise ArithmeticError("invariant factors do not multiply to |det|")
+    if any(b % a for a, b in zip(factors, factors[1:])):
+        raise ArithmeticError("broken divisibility chain in Smith normal form")
+    return factors
+
+
+def _unit_pivots(rows, mod: int) -> tuple[int, list[list[int]]]:
+    """Sparse phase: eliminate unit pivots mod ``mod`` by least Markowitz cost.
+
+    Returns the number of pivots taken and the dense residual core.  Scaling
+    the pivot row by the inverse of the pivot and clearing the pivot column
+    are unimodular over Z/mod, and the cleared pivot row and column then
+    split off a factor 1.
+    """
+    R = {}
+    cols = {i: set() for i in rows}
+    for i, row in rows.items():
+        R[i] = {j: y for j, x in row.items() if (y := x % mod)}
+        for j in R[i]:
+            cols[j].add(i)
+
+    heap = [
+        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+        for i, row in R.items()
+        for j, x in row.items()
+        if math.gcd(x, mod) == 1
+    ]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        row = R.get(i)
+        if row is None or j not in row or math.gcd(row[j], mod) != 1:
+            continue  # stale: row dropped, entry gone or no longer a unit
+        now = (len(row) - 1) * (len(cols[j]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        del R[i]
+        for k in row:
+            cols[k].discard(i)
+        inv = pow(row.pop(j), -1, mod)
+        prow = {k: x * inv % mod for k, x in row.items()}
+        for r in cols.pop(j):
+            rr = R[r]
+            f = rr.pop(j)
+            for k, x in prow.items():
+                y = (rr.get(k, 0) - f * x) % mod
+                if y:
+                    if k not in rr:
+                        cols[k].add(r)
+                    rr[k] = y
+                elif k in rr:
+                    del rr[k]
+                    cols[k].discard(r)
+            for k, y in rr.items():
+                if math.gcd(y, mod) == 1:
+                    heapq.heappush(heap, ((len(rr) - 1) * (len(cols[k]) - 1), r, k))
+        pivots += 1
+    order = sorted(cols)
+    return pivots, [[R[i].get(j, 0) for j in order] for i in sorted(R)]
+
+
+def _core_factors(A: list[list[int]], mod: int) -> list[int]:
+    """Core phase: dense Smith form over Z/mod of a square matrix.
+
+    Where the pivot already divides the entry, plain subtraction clears it;
+    otherwise an xgcd step makes the pivot gcd(pivot, entry).  So the
+    pivot's integer representative strictly decreases on every xgcd step,
+    at most log2(mod) times per position.  (xgcd steps alone can cycle: an
+    entry equal to the pivot moves its row into the pivot row.)  Rows and
+    columns before position t are zero beyond their pivots, so every step
+    works on the trailing block only.
+    """
     m = len(A)
-    n = len(A[0]) if m else 0
     factors = []
-    t = 0
-    while t < min(m, n):
-        pos = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (pos is None or abs(A[i][j]) < abs(A[pos[0]][pos[1]])):
-                    pos = (i, j)
+    for t in range(m):
+        pos = _pick_pivot(A, t, mod)
         if pos is None:
+            factors.extend([mod] * (m - t))  # zero block: gcd(0, mod) = mod
             break
+        i0, j0 = pos
+        A[t], A[i0] = A[i0], A[t]
+        for row in A:
+            row[t], row[j0] = row[j0], row[t]
         while True:
-            i0, j0 = pos
-            if i0 != t:
-                A[t], A[i0] = A[i0], A[t]
-            if j0 != t:
-                for row in A:
-                    row[t], row[j0] = row[j0], row[t]
-            # clear column t, restarting whenever a smaller remainder shows up
-            dirty = False
             for i in range(t + 1, m):
                 if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    for j in range(t, n):
-                        A[i][j] -= q * A[t][j]
-                    if A[i][t]:
-                        pos = (i, t)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
+                    A[t][t:], A[i][t:] = _combine(A[t][t:], A[i][t:], mod)
+            for j in range(t + 1, m):
                 if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for i in range(t, m):
-                        A[i][j] -= q * A[i][t]
-                    if A[t][j]:
-                        pos = (t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # enforce divisibility of the remaining block
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t]:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+                    col_t, col_j = _combine(
+                        [A[r][t] for r in range(t, m)], [A[r][j] for r in range(t, m)], mod
+                    )
+                    for r, x, z in zip(range(t, m), col_t, col_j):
+                        A[r][t], A[r][j] = x, z
+            if any(A[i][t] for i in range(t + 1, m)):
+                continue  # an xgcd column step refilled column t
+            g = math.gcd(A[t][t], mod)
+            culprit = next(
+                (i for i in range(t + 1, m) if any(x % g for x in A[i][t + 1:])), None
+            )
             if culprit is None:
                 break
-            for j in range(t, n):
-                A[t][j] += A[culprit][j]
-            pos = (t, t)
-        factors.append(abs(A[t][t]))
-        t += 1
-    for a, b in zip(factors, factors[1:]):
-        assert b % a == 0, "broken divisibility chain in Smith normal form"
-    return [f for f in factors if f]
+            # g must divide the whole block: fold the offending row into row t
+            A[t][t:] = [(x + y) % mod for x, y in zip(A[t][t:], A[culprit][t:])]
+        factors.append(g)
+    return factors
+
+
+def _pick_pivot(A, t: int, mod: int):
+    """Position of the entry with least gcd(x, mod) in the first nonzero column."""
+    for j in range(t, len(A)):
+        col = [(math.gcd(A[i][j], mod), i) for i in range(t, len(A)) if A[i][j]]
+        if col:
+            return min(col)[1], j
+    return None
+
+
+def _combine(u: list[int], v: list[int], mod: int):
+    """Unimodular 2x2 step on u, v that clears v[0] against the pivot u[0]."""
+    p, y = u[0], v[0]
+    if y % p == 0:
+        q = y // p
+        return u, [(b - q * a) % mod for a, b in zip(u, v)]
+    g, s, r = xgcd(p, y)
+    a, b = -(y // g), p // g
+    return (
+        [(s * x + r * z) % mod for x, z in zip(u, v)],
+        [(a * x + b * z) % mod for x, z in zip(u, v)],
+    )

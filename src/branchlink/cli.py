@@ -4,7 +4,7 @@ Subcommands: analyze (full report), random (generator sampling), bp
 (Brieskorn-Pham classification), splice (diagram/equations only), graph
 (DOT only).  All integers in JSON output are decimal strings so consumers
 never face word-size limits.  Exit codes: 0 success, 2 invalid input,
-1 internal assertion failure.
+1 failed internal check.
 """
 
 from __future__ import annotations
@@ -48,13 +48,25 @@ def _enc(value):
     return value
 
 
+class InvalidInput(ValueError):
+    """Malformed command-line input; main() reports it with exit code 2."""
+
+
 def parse_generators(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text.startswith("{"):
-        payload = json.loads(text)
-        gens = payload["generators"]
-        return tuple(int(x) for x in gens)
-    return tuple(int(x) for x in text.replace(",", " ").split())
+        try:
+            items = json.loads(text)["generators"]
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"malformed JSON: {exc}") from exc
+        except KeyError as exc:
+            raise InvalidInput('JSON input has no "generators" list') from exc
+    else:
+        items = text.replace(",", " ").split()
+    try:
+        return tuple(int(x) for x in items)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"generators must be integers: {exc}") from exc
 
 
 def build_report(generators, minimize_pass: bool = False) -> dict:
@@ -122,7 +134,8 @@ def build_report(generators, minimize_pass: bool = False) -> dict:
     topo = pl.classify_topologically(graph)
     assert topo.kind == link.kind, "classifier routes disagree"
     h1 = pl.h1_link(graph)
-    assert h1.torsion_order == dets["detS"], "torsion order is not det(S)"
+    if h1.torsion_order != dets["detS"]:
+        raise ArithmeticError("torsion order is not det(S)")
     multiplicities = pl.pullback_on_full_resolution(graph, qr)
     report["plumbing"] = pl.to_json_dict(graph)
     report["plumbing"]["multiplicities"] = [
@@ -243,6 +256,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_random(args) -> int:
+    if args.g < 2 or args.max_n < 2:
+        raise InvalidInput("--g and --max-n must be at least 2")
     rng_seed = args.seed
     for i in range(args.count):
         beta = random_plane_semigroup(args.g, args.max_n, seed=f"{rng_seed}:{i}")
@@ -251,6 +266,8 @@ def cmd_random(args) -> int:
 
 
 def cmd_bp(args) -> int:
+    if min(args.a1, args.a2, args.a3) < 2:
+        raise InvalidInput("Brieskorn-Pham exponents must be at least 2")
     bp = classify_brieskorn_pham(args.a1, args.a2, args.a3)
     payload = {
         "exponents": list(bp.exponents),
@@ -378,6 +395,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except NotAPlaneSemigroup as exc:
         print(f"invalid semigroup: {exc}", file=sys.stderr)
+        return 2
+    except InvalidInput as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

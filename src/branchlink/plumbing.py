@@ -4,7 +4,8 @@ Expands every singular point of the partial resolution into its bamboo
 chain, assembles the integer plumbing graph with the corrected strict
 transform self-intersections, locates the strict transform of the curve
 (the arrow) on the resolved chain toric-style, and derives the first
-homology of the link from the Smith normal form of the intersection matrix.
+homology of the link from the Smith normal form of the intersection matrix,
+computed modulo its determinant by sparse unit-pivot elimination.
 """
 
 from __future__ import annotations
@@ -259,18 +260,23 @@ class H1Decomposition:
 def h1_link(pg: PlumbingGraph) -> H1Decomposition:
     """First homology of the link from the plumbing graph.
 
-    Torsion is the cokernel of the intersection matrix (Smith normal form);
-    the free rank is twice the total genus plus the number of independent
-    loops in the graph.
+    Torsion is the cokernel of the intersection matrix.  One symmetric
+    elimination gives both the negative-definiteness signs and |det|, and
+    the Smith form then runs modulo |det|.  The free rank is twice the total
+    genus plus the number of independent loops in the graph.
     """
+    rows = sparse_intersection(pg)
     try:
-        if not all(p < 0 for p in _linalg.sym_pivots(sparse_intersection(pg))):
-            raise NotNegativeDefinite("intersection matrix is not negative definite")
+        pivots = _linalg.sym_pivots(rows)
     except _linalg.ZeroPivot as exc:
         raise NotNegativeDefinite("intersection matrix is singular") from exc
-    factors = _linalg.invariant_factors(integer_intersection_matrix(pg))
-    assert len(factors) == pg.n
-    assert math.prod(factors) == graph_determinant(pg)
+    if not all(p < 0 for p in pivots):
+        raise NotNegativeDefinite("intersection matrix is not negative definite")
+    det = abs(math.prod(pivots, start=Fraction(1)))
+    if det.denominator != 1:
+        raise ArithmeticError(f"integer intersection matrix has determinant {det}")
+    int_rows = {i: {j: int(x) for j, x in row.items()} for i, row in rows.items()}
+    factors = _linalg.invariant_factors(int_rows, int(det))
     free_rank = 2 * sum(v.genus for v in pg.vertices) + pg.loop_count()
     return H1Decomposition(
         free_rank=free_rank, torsion=tuple(f for f in factors if f > 1)

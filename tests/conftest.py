@@ -51,3 +51,75 @@ def random_zhs_semigroup(g: int, rng: random.Random):
     out = tuple(beta)
     derive_from_generators(out)
     return out
+
+
+def dense_invariant_factors(matrix) -> list[int]:
+    """Nonzero invariant factors of a dense integer matrix, over Z.
+
+    The independent Smith normal form oracle: pivot on the entry of least
+    magnitude, clear its row and column by division with remainder, and
+    restart whenever a smaller remainder shows up.
+    """
+    A = [[int(x) for x in row] for row in matrix]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    factors = []
+    t = 0
+    while t < min(m, n):
+        pos = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if A[i][j] and (pos is None or abs(A[i][j]) < abs(A[pos[0]][pos[1]])):
+                    pos = (i, j)
+        if pos is None:
+            break
+        while True:
+            i0, j0 = pos
+            if i0 != t:
+                A[t], A[i0] = A[i0], A[t]
+            if j0 != t:
+                for row in A:
+                    row[t], row[j0] = row[j0], row[t]
+            # clear column t, restarting whenever a smaller remainder shows up
+            dirty = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    for j in range(t, n):
+                        A[i][j] -= q * A[t][j]
+                    if A[i][t]:
+                        pos = (i, t)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    for i in range(t, m):
+                        A[i][j] -= q * A[i][t]
+                    if A[t][j]:
+                        pos = (t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # enforce divisibility of the remaining block
+            culprit = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if A[i][j] % A[t][t]:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            for j in range(t, n):
+                A[t][j] += A[culprit][j]
+            pos = (t, t)
+        factors.append(abs(A[t][t]))
+        t += 1
+    for a, b in zip(factors, factors[1:]):
+        assert b % a == 0, "broken divisibility chain in Smith normal form"
+    return [f for f in factors if f]

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from branchlink.cli import build_report, main, parse_generators
+from branchlink.semigroup import derive_from_generators
+from branchlink.detcalc import det_S
 
 
 def run_cli(*args):
@@ -131,3 +133,33 @@ def test_cli_process_entry_point():
     proc = run_cli("analyze", "2,3,4")
     assert proc.returncode == 2
     assert "invalid semigroup" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "8,12,x"],
+        ["analyze", '{"gens":[1]}'],
+        ["bp", "1", "2", "3"],
+        ["random", "--g", "1"],
+    ],
+)
+def test_invalid_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_analyze_g5_finishes_with_torsion_equal_to_det_S(capsys):
+    gens = "432,1188,4824,14556,43708,131127"
+    assert main(["analyze", gens, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["plumbing"]["vertices"]) == 1266
+    torsion = 1
+    for f in payload["h1"]["torsion"]:
+        torsion *= int(f)
+    det = det_S(derive_from_generators(parse_generators(gens)))
+    assert torsion == int(payload["determinants"]["detS"]) == det
+    assert len(str(det)) == 46

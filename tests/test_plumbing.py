@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from branchlink.plumbing import (
     to_json_dict,
 )
 from branchlink import _linalg
-from conftest import naive_det, random_zhs_semigroup
+from conftest import dense_invariant_factors, naive_det, random_zhs_semigroup
 
 
 def graph_of(beta):
@@ -175,11 +176,93 @@ def test_h1_rejects_indefinite():
         h1_link(pg)
 
 
+def sparse_rows(matrix):
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(matrix)}
+
+
+SMITH_KNOWN = [
+    ([[2, 0], [0, 4]], [2, 4]),
+    ([[-2, 1], [1, -2]], [1, 3]),
+    ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [2, 2, 156]),
+]
+
+
 def test_smith_normal_form_known_values():
-    assert _linalg.invariant_factors([[2, 0], [0, 4]]) == [2, 4]
-    assert _linalg.invariant_factors([[-2, 1], [1, -2]]) == [1, 3]
-    # cross-checked against an independent normal-form implementation
-    assert _linalg.invariant_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
+    for matrix, factors in SMITH_KNOWN:
+        det = abs(naive_det(matrix))
+        assert _linalg.invariant_factors(sparse_rows(matrix), int(det)) == factors
+        assert dense_invariant_factors(matrix) == factors
+
+
+def test_smith_normal_form_matches_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix, ZZ
+
+    rng = random.Random(11)
+    cases = [m for m, _ in SMITH_KNOWN]
+    while len(cases) < 30:
+        n = rng.randint(1, 5)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = -rng.randint(1, 9)
+            for j in range(i):
+                m[i][j] = m[j][i] = rng.choice((0, 0, 1, 2, -3))
+        if naive_det(m):
+            cases.append(m)
+    for m in cases:
+        snf = normalforms.smith_normal_form(Matrix(m), domain=ZZ)
+        expected = sorted(abs(int(snf[i, i])) for i in range(len(m)))
+        det = int(abs(naive_det(m)))
+        assert _linalg.invariant_factors(sparse_rows(m), det) == expected
+
+
+def test_invariant_factors_match_dense_oracle_on_graphs():
+    seen = 0
+    for trial in range(60):
+        g = 3 + trial % 3
+        cd = derive_from_generators(random_plane_semigroup(g, 4, seed=f"snf:{trial}"))
+        pg = assemble_full_resolution(compute_qresolution(cd))
+        if pg.n > 250 or not is_negative_definite(pg):
+            continue
+        expected = [f for f in dense_invariant_factors(integer_intersection_matrix(pg)) if f > 1]
+        assert list(h1_link(pg).torsion) == expected
+        seen += 1
+    assert seen >= 20
+
+
+def test_invariant_factors_trivial_modulus():
+    pg = graph_of((6, 10, 31))  # E8: unimodular
+    rows = sparse_rows(integer_intersection_matrix(pg))
+    assert _linalg.invariant_factors(rows, 1) == [1] * 8
+    assert _linalg.invariant_factors({}, 1) == []
+
+
+@pytest.mark.parametrize(
+    "core, mod",
+    [
+        ([[4, 2, 2, 2], [2, 14, 0, 0], [2, 0, 14, 0], [2, 0, 0, 14]], 16),
+        ([[70, 35, 90, 0], [35, 65, 0, 0], [90, 0, 44, 2], [0, 0, 2, 98]], 100),
+    ],
+)
+def test_core_phase_terminates_on_census_cores(core, mod):
+    # cores left by the sparse phase on census inputs; with xgcd steps in
+    # place of plain subtraction, the core phase cycles forever on the first
+    # under a block-wide pivot search and on the second under the
+    # first-nonzero-column search used now
+    factors = dense_invariant_factors(core)
+    factors += [0] * (len(core) - len(factors))
+    expected = [math.gcd(d, mod) for d in factors]
+    assert _linalg._core_factors([row[:] for row in core], mod) == expected
+
+
+def test_invariant_factors_reject_wrong_modulus():
+    rows = sparse_rows([[2, 0], [0, 2]])  # |det| = 4
+    assert _linalg.invariant_factors(rows, 4) == [2, 2]
+    for wrong in (2, 8, 12):
+        with pytest.raises(ArithmeticError):
+            _linalg.invariant_factors(rows, wrong)
+    with pytest.raises(ValueError):
+        _linalg.invariant_factors(rows, 0)
 
 
 def test_classify_topologically_matches_gcd_route():
