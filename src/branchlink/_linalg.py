@@ -1,11 +1,13 @@
 """Exact linear algebra: determinants, solves, Smith normal form.
 
 Everything works over arbitrary-precision integers and fractions; no
-floating point anywhere.  Intersection matrices of resolution graphs are
-trees, so the symmetric elimination below pivots leaf-first and runs with
-essentially no fill-in on those inputs.  The Smith normal form works modulo
-the determinant: sparse unit-pivot elimination first, then a small dense
-core over Z/|det|.
+floating point anywhere.  Plumbing graphs are trees, so one integer tree
+kernel (``TreeKernel``) gives their determinants, definiteness signs, cut
+determinants and solves.  The dense rational matrices of the partial
+resolution go through a symmetric elimination that pivots by least degree,
+with a Bareiss fallback.  The Smith normal form works modulo the
+determinant: sparse unit-pivot elimination first, then a small dense core
+over Z/|det|.
 """
 
 from __future__ import annotations
@@ -45,24 +47,14 @@ def continuant(ks) -> int:
     return cur
 
 
-def _to_sparse(matrix) -> tuple[dict, int]:
-    if isinstance(matrix, dict):
-        rows = {i: dict(row) for i, row in matrix.items()}
-        return rows, len(rows)
-    n = len(matrix)
-    rows = {}
-    for i in range(n):
-        row = {}
-        for j, x in enumerate(matrix[i]):
-            if x:
-                row[j] = Fraction(x)
-        rows[i] = row
-    return rows, n
+def _to_sparse(matrix) -> dict:
+    """Nonzero entries of a dense square matrix as rows {i: {j: Fraction}}."""
+    return {
+        i: {j: Fraction(x) for j, x in enumerate(row) if x} for i, row in enumerate(matrix)
+    }
 
 
 def _check_symmetric(matrix) -> bool:
-    if isinstance(matrix, dict):
-        return True  # callers passing sparse rows guarantee symmetry
     n = len(matrix)
     return all(len(row) == n for row in matrix) and all(
         matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i + 1, n)
@@ -88,10 +80,10 @@ def sym_pivots(matrix) -> list[Fraction]:
 
     The matrix is negative definite iff all pivots are negative (Sylvester,
     applied in the permuted order).  Raises ZeroPivot on a zero diagonal
-    pivot, which already rules out definiteness.  Accepts either a dense
-    nested sequence or sparse rows {i: {j: value}} (assumed symmetric).
+    pivot, which already rules out definiteness.  Takes a dense symmetric
+    nested sequence.
     """
-    rows, n = _to_sparse(matrix)
+    rows = _to_sparse(matrix)
     alive = set(rows)
     pivots = []
     for v, heap in _elimination_order(rows, alive):
@@ -115,10 +107,7 @@ def sym_pivots(matrix) -> list[Fraction]:
 
 
 def det_exact(matrix) -> Fraction:
-    """Exact determinant of a square matrix of integers/fractions.
-
-    Accepts dense nested sequences or symmetric sparse rows {i: {j: v}}.
-    """
+    """Exact determinant of a dense square matrix of integers/fractions."""
     n = len(matrix)
     if n == 0:
         return Fraction(1)
@@ -127,10 +116,7 @@ def det_exact(matrix) -> Fraction:
             pivots = sym_pivots(matrix)
             return math.prod(pivots, start=Fraction(1))
         except ZeroPivot:
-            if isinstance(matrix, dict):
-                matrix = [
-                    [matrix[i].get(j, 0) for j in range(n)] for i in range(n)
-                ]
+            pass
     return _det_bareiss(matrix)
 
 
@@ -162,37 +148,148 @@ def _det_bareiss(matrix) -> Fraction:
     return Fraction(sign * rows[n - 1][n - 1], 1) / scale
 
 
-def solve_symmetric(matrix, rhs) -> list[Fraction]:
-    """Solve A x = rhs exactly for symmetric nonsingular A (dense or sparse)."""
-    rows, n = _to_sparse(matrix)
-    b = [Fraction(x) for x in rhs]
-    alive = set(rows)
-    steps = []
-    for v, heap in _elimination_order(rows, alive):
-        alive.discard(v)
-        row_v = rows[v]
-        rows[v] = {}
-        p = row_v.pop(v, Fraction(0))
-        if p == 0:
-            raise ZeroPivot(f"zero pivot at index {v}")
-        nbrs = [j for j in row_v if j in alive]
-        for i in nbrs:
-            f = rows[i].pop(v) / p
-            b[i] -= f * b[v]
-            ri = rows[i]
-            for j in nbrs:
-                ri[j] = ri.get(j, Fraction(0)) - f * row_v[j]
-                if ri[j] == 0:
-                    del ri[j]
-            heapq.heappush(heap, (len(ri), i))
-        steps.append((v, p, row_v))
-    x = [Fraction(0)] * n
-    for v, p, row_v in reversed(steps):
-        acc = b[v]
-        for j, coef in row_v.items():
-            acc -= coef * x[j]
-        x[v] = acc / p
-    return x
+class NotATree(ValueError):
+    """The graph of the matrix has a cycle, so the tree kernel does not apply."""
+
+
+class TreeKernel:
+    """Exact integer kernel for a symmetric matrix whose graph is a forest.
+
+    The matrix has the integer diagonal ``diag`` and an entry 1 at (i, j)
+    and (j, i) for every edge (i, j); a cycle, a repeated edge or a loop
+    raises NotATree.  Each component is rooted at its least vertex and one
+    leaf-to-root pass gives, for every vertex v,
+
+        D[v] = det of the subtree at v,  P[v] = det of that subtree minus v,
+
+    by the pair recurrence (D, P) <- (D*D_c - P*P_c, P*D_c) over the
+    children c, from (diag[v], 1).  D[v]/P[v] is the pivot of v in a
+    leaf-first symmetric elimination, so the determinant and the signs of
+    every pivot come from this one pass; a rerooting pass gives the cut
+    determinants and a back-substitution the solve (Neumann, *A calculus for
+    plumbing*, 1981; Eisenbud and Neumann, 1985).
+    """
+
+    def __init__(self, diag, edges):
+        n = len(diag)
+        adj = [[] for _ in range(n)]
+        count = 0
+        for i, j in edges:
+            adj[i].append(j)
+            adj[j].append(i)
+            count += 1
+        parent = [-1] * n
+        seen = [False] * n
+        order = []
+        roots = []
+        for r in range(n):
+            if seen[r]:
+                continue
+            seen[r] = True
+            roots.append(r)
+            head = len(order)
+            order.append(r)
+            while head < len(order):
+                v = order[head]
+                head += 1
+                for u in adj[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        parent[u] = v
+                        order.append(u)
+        if count != n - len(roots):
+            raise NotATree(
+                f"{count} edges on {n} vertices in {len(roots)} components: not a forest"
+            )
+        D = list(diag)
+        P = [1] * n
+        for v in reversed(order):  # children before parents
+            u = parent[v]
+            if u >= 0:
+                D[u], P[u] = D[u] * D[v] - P[u] * P[v], P[u] * D[v]
+        self.diag = diag
+        self.adj = adj
+        self.parent = parent
+        self.order = order
+        self.roots = roots
+        self.D = D
+        self.P = P
+        self._above = None
+
+    @property
+    def det(self) -> int:
+        """Determinant of the whole matrix: the product over the components."""
+        return math.prod(self.D[r] for r in self.roots)
+
+    def negative_definite(self) -> bool:
+        """Every leaf-first pivot D[v]/P[v] is negative, with P[v] != 0."""
+        return all(d < 0 < p or p < 0 < d for d, p in zip(self.D, self.P))
+
+    def branch_determinant(self, v: int, u: int) -> int:
+        """det of the component of the forest minus v that holds its neighbour u."""
+        if self.parent[u] == v:
+            return self.D[u]
+        if self.parent[v] != u:
+            raise ValueError(f"{u} is not a neighbour of {v}")
+        if self._above is None:
+            self._above = self._reroot()
+        return self._above[v]
+
+    def _reroot(self) -> list[int]:
+        """Root-to-leaf pass: det of the branch above every vertex.
+
+        The branch above v is the component of the forest minus v that holds
+        the parent of v.  A branch with pair (D_b, P_b) at a vertex w acts
+        on w's pair as x*I - y*N with (x, y) = (D_b, P_b) and N nilpotent,
+        so these actions commute and multiply as (x1*x2, x1*y2 + y1*x2).
+        The branch above a child c of w is w's pair from every branch at w
+        but c's own: a prefix over the branches before c, starting with
+        the branch above w, times a suffix over those after it.
+        """
+        D, P, diag, parent = self.D, self.P, self.diag, self.parent
+        above_D = [1] * len(D)
+        above_P = [0] * len(D)
+        for w in self.order:
+            kids = [c for c in self.adj[w] if parent[c] == w]
+            if not kids:
+                continue
+            x, y = (above_D[w], above_P[w]) if parent[w] >= 0 else (1, 0)
+            suffix = [(1, 0)]
+            for c in reversed(kids[1:]):
+                sx, sy = suffix[-1]
+                suffix.append((D[c] * sx, D[c] * sy + P[c] * sx))
+            for c in kids:
+                sx, sy = suffix.pop()
+                px, py = x * sx, x * sy + y * sx
+                above_D[c], above_P[c] = diag[w] * px - py, px
+                x, y = x * D[c], x * P[c] + y * D[c]
+        return above_D
+
+    def solve(self, rhs) -> list:
+        """Exact solution x of A x = rhs; ints where integral, else Fractions.
+
+        Leaf-to-root elimination carries B[v], the rhs of v after its subtree
+        is eliminated times P[v], by B <- B*D_c - P*B_c; back-substitution
+        from the roots then gives x[v] = (B[v] - x[parent] * P[v]) / D[v].
+        Raises ZeroPivot when some D[v] is 0, which no definite matrix has.
+        """
+        D, P, parent = self.D, self.P, self.parent
+        B = list(rhs)
+        partial = [1] * len(D)  # P[u] over the children folded in so far
+        for v in reversed(self.order):
+            u = parent[v]
+            if u >= 0:
+                B[u] = B[u] * D[v] - partial[u] * B[v]
+                partial[u] *= D[v]
+        x = [0] * len(D)
+        for v in self.order:
+            if D[v] == 0:
+                raise ZeroPivot(f"zero pivot at index {v}")
+            u = parent[v]
+            num = B[v] if u < 0 else B[v] - x[u] * P[v]
+            q, r = divmod(num, D[v])
+            x[v] = q if r == 0 else Fraction(num, D[v])
+        return x
 
 
 def invariant_factors(rows, det: int) -> list[int]:

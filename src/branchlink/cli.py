@@ -132,7 +132,8 @@ def build_report(generators, minimize_pass: bool = False) -> dict:
 
     graph = pl.assemble_full_resolution(qr)
     topo = pl.classify_topologically(graph)
-    assert topo.kind == link.kind, "classifier routes disagree"
+    if topo.kind != link.kind:
+        raise ArithmeticError("classifier routes disagree")
     h1 = pl.h1_link(graph)
     if h1.torsion_order != dets["detS"]:
         raise ArithmeticError("torsion order is not det(S)")
@@ -165,10 +166,12 @@ def build_report(generators, minimize_pass: bool = False) -> dict:
     if link.is_zhs:
         sd = sp.splice_from_plumbing(graph)
         expected = sp.expected_splice_diagram(cd)
-        assert sp.diagrams_isomorphic(sd, expected), "splice diagram mismatch"
+        if not sp.diagrams_isomorphic(sd, expected):
+            raise ArithmeticError("splice diagram mismatch")
         eqs = sp.splice_equations(expected, cd)
         semi = sp.check_semigroup_condition(expected)
-        assert semi.satisfied
+        if not semi.satisfied:
+            raise ArithmeticError("semigroup condition fails on the closed-form diagram")
         report["splice"] = {
             "nodes": [expected.labels[v] for v in sorted(expected.nodes)],
             "leaves": [expected.labels[v] for v in sorted(expected.leaves)],
@@ -399,7 +402,7 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ArithmeticError) as exc:
+    except (AssertionError, ArithmeticError, pl.NotNegativeDefinite, pl.NotATree) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,19 +2,23 @@
 
 Expands every singular point of the partial resolution into its bamboo
 chain, assembles the integer plumbing graph with the corrected strict
-transform self-intersections, locates the strict transform of the curve
-(the arrow) on the resolved chain toric-style, and derives the first
-homology of the link from the Smith normal form of the intersection matrix,
-computed modulo its determinant by sparse unit-pivot elimination.
+transform self-intersections, and locates the strict transform of the
+curve (the arrow) on the resolved chain toric-style.  The graph is a tree,
+so its determinant, the negative-definiteness test and the pull-back solve
+all read from one exact integer tree kernel (``_linalg.TreeKernel``).  The
+first homology of the link comes from the Smith normal form of the
+intersection matrix, computed modulo its determinant by sparse unit-pivot
+elimination.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import _linalg
+from ._linalg import NotATree  # raised by every layer that reads the tree kernel
 from .detcalc import LinkClass, LinkKind
 from .qres import QResolutionData, strict_self_intersection
 from .quotient import PlanarLattice
@@ -84,8 +88,15 @@ class PlumbingGraph:
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.component_count() == 1
 
-    def loop_count(self) -> int:
-        return len(self.edges) - self.n + self.component_count()
+    def tree_kernel(self) -> _linalg.TreeKernel:
+        """The integer tree kernel of the intersection matrix (vids 0..n-1).
+
+        Raises NotATree if the graph has a cycle.
+        """
+        diag = [0] * self.n
+        for v in self.vertices:
+            diag[v.vid] = v.self_int
+        return _linalg.TreeKernel(diag, self.edges)
 
 
 def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:
@@ -191,7 +202,8 @@ def _locate_arrow(qr, last_strict_vid, p_chain_vids) -> tuple[tuple[int, int], .
     p_pt = next(pt for pt in qr.census if pt.kind == "P")
     lat = PlanarLattice.of(p_pt.raw)
     walked = lat.chain_kappas_from_first_axis()
-    assert walked == tuple(reversed(p_pt.chain.kappas)), "fan walk disagrees with chain"
+    if walked != tuple(reversed(p_pt.chain.kappas)):
+        raise ArithmeticError("fan walk disagrees with chain")
     delta = cd.n[g] * cd.beta[g] - cd.n[g - 1] * cd.beta[g - 1]
     hits = lat.curve_boundary_intersections(exp_second=cd.n[g], exp_first=delta)
     r = len(p_pt.chain.kappas)
@@ -202,7 +214,8 @@ def _locate_arrow(qr, last_strict_vid, p_chain_vids) -> tuple[tuple[int, int], .
         elif idx <= r:
             arrow.append((p_chain_vids[r - idx], mult))
         # idx == r + 1 is the strict transform of the last coordinate axis
-    assert arrow, "curve does not meet the exceptional locus"
+    if not arrow:
+        raise ArithmeticError("curve does not meet the exceptional locus")
     return tuple(arrow)
 
 
@@ -217,27 +230,13 @@ def integer_intersection_matrix(pg: PlumbingGraph) -> list[list[int]]:
     return m
 
 
-def sparse_intersection(pg: PlumbingGraph) -> dict[int, dict[int, Fraction]]:
-    """Intersection matrix as sparse symmetric rows (for large graphs)."""
-    rows = {v.vid: {v.vid: Fraction(v.self_int)} for v in pg.vertices}
-    for i, j in pg.edges:
-        rows[i][j] = rows[i].get(j, Fraction(0)) + 1
-        rows[j][i] = rows[j].get(i, Fraction(0)) + 1
-    return rows
-
-
 def graph_determinant(pg: PlumbingGraph) -> int:
     """|det| of the integer intersection matrix."""
-    det = _linalg.det_exact(sparse_intersection(pg))
-    assert det.denominator == 1
-    return abs(int(det))
+    return abs(pg.tree_kernel().det)
 
 
 def is_negative_definite(pg: PlumbingGraph) -> bool:
-    try:
-        return all(p < 0 for p in _linalg.sym_pivots(sparse_intersection(pg)))
-    except _linalg.ZeroPivot:
-        return False
+    return pg.tree_kernel().negative_definite()
 
 
 @dataclass(frozen=True)
@@ -260,24 +259,19 @@ class H1Decomposition:
 def h1_link(pg: PlumbingGraph) -> H1Decomposition:
     """First homology of the link from the plumbing graph.
 
-    Torsion is the cokernel of the intersection matrix.  One symmetric
-    elimination gives both the negative-definiteness signs and |det|, and
-    the Smith form then runs modulo |det|.  The free rank is twice the total
-    genus plus the number of independent loops in the graph.
+    Torsion is the cokernel of the intersection matrix.  One pass of the
+    tree kernel gives both the negative-definiteness signs and |det|, and
+    the Smith form then runs modulo |det|.  The kernel rejects graphs with
+    loops, so the free rank is twice the total genus.
     """
-    rows = sparse_intersection(pg)
-    try:
-        pivots = _linalg.sym_pivots(rows)
-    except _linalg.ZeroPivot as exc:
-        raise NotNegativeDefinite("intersection matrix is singular") from exc
-    if not all(p < 0 for p in pivots):
+    tree = pg.tree_kernel()
+    if not tree.negative_definite():
         raise NotNegativeDefinite("intersection matrix is not negative definite")
-    det = abs(math.prod(pivots, start=Fraction(1)))
-    if det.denominator != 1:
-        raise ArithmeticError(f"integer intersection matrix has determinant {det}")
-    int_rows = {i: {j: int(x) for j, x in row.items()} for i, row in rows.items()}
-    factors = _linalg.invariant_factors(int_rows, int(det))
-    free_rank = 2 * sum(v.genus for v in pg.vertices) + pg.loop_count()
+    rows = {v.vid: {v.vid: v.self_int} for v in pg.vertices}
+    for i, j in pg.edges:
+        rows[i][j] = rows[j][i] = 1
+    factors = _linalg.invariant_factors(rows, abs(tree.det))
+    free_rank = 2 * sum(v.genus for v in pg.vertices)
     return H1Decomposition(
         free_rank=free_rank, torsion=tuple(f for f in factors if f > 1)
     )
@@ -307,20 +301,21 @@ def pullback_on_full_resolution(pg: PlumbingGraph, qr: QResolutionData) -> dict[
     Solves (pullback . E_i) = 0 for every exceptional vertex, with the
     strict transform of the curve entering through the arrow.  The solution
     must be a positive integer vector whose strict-transform entries are the
-    multiplicities N_k.
+    multiplicities N_k; anything else raises ArithmeticError.  The tree
+    kernel solves by leaf-to-root elimination and back-substitution.
     """
-    rhs = [Fraction(0)] * pg.n
+    rhs = [0] * pg.n
     for vid, mult in pg.arrow:
         rhs[vid] -= mult
-    sol = _linalg.solve_symmetric(sparse_intersection(pg), rhs)
-    out = {}
+    sol = pg.tree_kernel().solve(rhs)
     for vid, value in enumerate(sol):
-        assert value.denominator == 1 and value > 0, f"bad multiplicity at {vid}"
-        out[vid] = int(value)
+        if not isinstance(value, int) or value <= 0:
+            raise ArithmeticError(f"bad multiplicity {value} at vertex {vid}")
     for k in range(1, qr.g):
         for vid in pg.strict[k - 1]:
-            assert out[vid] == qr.N[k], f"level {k} multiplicity is not N_k"
-    return out
+            if sol[vid] != qr.N[k]:
+                raise ArithmeticError(f"level {k} multiplicity is not N_k")
+    return dict(enumerate(sol))
 
 
 def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:
@@ -332,31 +327,47 @@ def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:
     only, and the curve data does not survive contractions unchanged.
     """
     vertices = {v.vid: v for v in pg.vertices}
-    edges = set(tuple(sorted(e)) for e in pg.edges)
+    adj = {vid: set() for vid in vertices}
+    loops = set()
+    for i, j in pg.edges:
+        if i == j:
+            loops.add(i)
+        else:
+            adj[i].add(j)
+            adj[j].add(i)
+
+    def eligible(vid) -> bool:
+        v = vertices.get(vid)
+        return v is not None and v.genus == 0 and v.self_int == -1 and len(adj[vid]) <= 2
+
+    # always contract the least eligible vid; only the neighbours of a
+    # contracted vertex change, so they are the only new candidates
+    heap = [vid for vid in vertices if eligible(vid)]
+    heapq.heapify(heap)
     contracted = []
-    while True:
-        target = None
-        for v in vertices.values():
-            if v.genus != 0 or v.self_int != -1:
-                continue
-            nbrs = [j for e in edges if v.vid in e for j in e if j != v.vid]
-            if len(nbrs) <= 2:
-                target = (v, nbrs)
-                break
-        if target is None:
-            break
-        v, nbrs = target
-        contracted.append(v.label)
-        del vertices[v.vid]
-        edges = {e for e in edges if v.vid not in e}
+    while heap:
+        vid = heapq.heappop(heap)
+        if not eligible(vid):
+            continue
+        contracted.append(vertices.pop(vid).label)
+        loops.discard(vid)
+        nbrs = adj.pop(vid)
         for u in nbrs:
+            adj[u].discard(vid)
             vertices[u] = replace(vertices[u], self_int=vertices[u].self_int + 1)
         if len(nbrs) == 2:
-            edges.add(tuple(sorted(nbrs)))
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+        for u in nbrs:
+            if eligible(u):
+                heapq.heappush(heap, u)
+    edges = {(i, j) for i in adj for j in adj[i] if i < j} | {(i, i) for i in loops}
     keep = sorted(vertices)
     relabel = {old: new for new, old in enumerate(keep)}
     new_vertices = tuple(
-        replace(vertices[old], vid=relabel[old]) for old in keep
+        v if v.vid == new else Vertex(vid=new, genus=v.genus, self_int=v.self_int, label=v.label)
+        for new, v in enumerate(vertices[old] for old in keep)
     )
     new_edges = tuple(sorted((relabel[i], relabel[j]) for i, j in edges))
     new_strict = tuple(

@@ -2,7 +2,8 @@
 
 A plumbing tree with |det| = 1 and rational vertices collapses, after
 suppressing the valency-2 vertices, to a weighted splice diagram whose edge
-weights are cut determinants.  This module computes that diagram, the
+weights are cut determinants; one rerooting pass of the plumbing graph's
+integer tree kernel gives them all.  This module computes that diagram, the
 closed-form diagram the family is expected to produce, linking numbers, the
 semigroup condition with explicit witnesses, and the equations built from
 admissible monomials.
@@ -12,12 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .semigroup import CharacteristicData
 from .detcalc import classify_link
 from .plumbing import PlumbingGraph, classify_topologically
-from . import _linalg
 
 
 class NotZHS(ValueError):
@@ -87,7 +86,8 @@ class SpliceDiagram:
                 if y not in parent:
                     parent[y] = x
                     stack.append(y)
-        assert w in parent, "vertices in different components"
+        if w not in parent:
+            raise ArithmeticError("vertices in different components")
         out = [w]
         while parent[out[-1]] is not None:
             out.append(parent[out[-1]])
@@ -128,35 +128,12 @@ def edge_determinants(sd: SpliceDiagram) -> dict[tuple[int, int], int]:
     return out
 
 
-def _cut_determinant(pg: PlumbingGraph, v: int, toward: int) -> int:
-    """|det| of the intersection matrix of the subgraph cut off at v."""
-    adj = pg.adjacency()
-    keep = set()
-    stack = [toward]
-    while stack:
-        u = stack.pop()
-        if u in keep or u == v:
-            continue
-        keep.add(u)
-        stack.extend(adj[u])
-    index = {u: i for i, u in enumerate(sorted(keep))}
-    rows = {
-        index[u]: {index[u]: Fraction(pg.vertices[u].self_int)} for u in keep
-    }
-    for i, j in pg.edges:
-        if i in keep and j in keep:
-            rows[index[i]][index[j]] = Fraction(1)
-            rows[index[j]][index[i]] = Fraction(1)
-    det = _linalg.det_exact(rows)
-    assert det.denominator == 1
-    return abs(int(det))
-
-
 def splice_from_plumbing(pg: PlumbingGraph) -> SpliceDiagram:
     """Splice diagram of a plumbing graph with an integral homology sphere.
 
     Suppresses valency-2 vertices, then assigns to each (node, edge) pair
-    the determinant of the piece the edge cuts off.  Raises NotZHS unless
+    the determinant of the piece the edge cuts off, read from the tree
+    kernel's rerooting pass.  Raises NotZHS unless
     the graph is a rational tree of determinant one, and ENViolation if the
     produced diagram fails the Eisenbud-Neumann conditions, which would mean
     an upstream bug.
@@ -170,6 +147,7 @@ def splice_from_plumbing(pg: PlumbingGraph) -> SpliceDiagram:
     leaves = frozenset(v for v in keep if degree[v] == 1)
     if not nodes:
         raise NotZHS("graph has no splice nodes (bamboo link)")
+    tree = pg.tree_kernel()
     edges = []
     weights = {}
     seen_pairs = set()
@@ -179,7 +157,7 @@ def splice_from_plumbing(pg: PlumbingGraph) -> SpliceDiagram:
             while degree[cur] == 2:
                 nxt = [u for u in adj[cur] if u != prev][0]
                 prev, cur = cur, nxt
-            weights[(v, cur)] = _cut_determinant(pg, v, first)
+            weights[(v, cur)] = abs(tree.branch_determinant(v, first))
             if (v, cur) not in seen_pairs:
                 seen_pairs.add((v, cur))
                 seen_pairs.add((cur, v))
@@ -452,7 +430,8 @@ def splice_equations(sd: SpliceDiagram, cd: CharacteristicData) -> SpliceEquatio
                     f"node weight of a monomial at node {k} is {vweight}, not {d_v}"
                 )
         equations.append(tuple(eq))
-    assert len(equations) == len(expected.leaves) - 2
+    if len(equations) != len(expected.leaves) - 2:
+        raise ArithmeticError("one splice equation per node was not produced")
     return SpliceEquations(
         variables=names,
         equations=tuple(equations),

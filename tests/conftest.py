@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,82 @@ def naive_det(rows) -> Fraction:
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
         total += (-1) ** j * Fraction(rows[0][j]) * naive_det(minor)
     return total
+
+
+def fraction_solve(rows, rhs=None):
+    """Exact symmetric elimination over Fractions, least degree first.
+
+    ``rows`` are sparse symmetric rows {i: {j: value}}.  Returns the pivots
+    and, when ``rhs`` is given, the solution of A x = rhs by back-substitution.
+    The independent oracle for the tree kernel; raises ZeroDivisionError on
+    a zero pivot.
+    """
+    rows = {i: {j: Fraction(x) for j, x in row.items() if x} for i, row in rows.items()}
+    b = {i: Fraction(rhs[i]) for i in rows} if rhs is not None else None
+    alive = set(rows)
+    heap = [(len(row), v) for v, row in rows.items()]
+    heapq.heapify(heap)
+    pivots, steps = [], []
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if v not in alive:
+            continue
+        if deg != len(rows[v]):
+            heapq.heappush(heap, (len(rows[v]), v))
+            continue
+        alive.discard(v)
+        row_v = rows[v]
+        p = row_v.pop(v, Fraction(0))
+        if p == 0:
+            raise ZeroDivisionError(f"zero pivot at index {v}")
+        pivots.append(p)
+        nbrs = [j for j in row_v if j in alive]
+        for i in nbrs:
+            f = rows[i].pop(v) / p
+            if b is not None:
+                b[i] -= f * b[v]
+            ri = rows[i]
+            for j in nbrs:
+                ri[j] = ri.get(j, Fraction(0)) - f * row_v[j]
+                if ri[j] == 0:
+                    del ri[j]
+            heapq.heappush(heap, (len(ri), i))
+        steps.append((v, p, {j: c for j, c in row_v.items() if j in alive}))
+    if b is None:
+        return pivots, None
+    x = {}
+    for v, p, row_v in reversed(steps):
+        x[v] = (b[v] - sum((c * x[j] for j, c in row_v.items()), Fraction(0))) / p
+    return pivots, [x[i] for i in sorted(x)]
+
+
+def graph_rows(pg, keep=None):
+    """Sparse Fraction rows of the intersection matrix of pg, or of the
+    subgraph on the vertex ids in ``keep``."""
+    keep = {v.vid for v in pg.vertices} if keep is None else keep
+    rows = {v.vid: {v.vid: Fraction(v.self_int)} for v in pg.vertices if v.vid in keep}
+    for i, j in pg.edges:
+        if i in keep and j in keep:
+            rows[i][j] = rows[i].get(j, 0) + 1
+            rows[j][i] = rows[j].get(i, 0) + 1
+    return rows
+
+
+def oracle_cut_determinant(pg, v, toward) -> int:
+    """|det| of the piece of pg that the edge v-toward cuts off beyond v."""
+    adj = pg.adjacency()
+    keep = set()
+    stack = [toward]
+    while stack:
+        u = stack.pop()
+        if u in keep or u == v:
+            continue
+        keep.add(u)
+        stack.extend(adj[u])
+    pivots, _ = fraction_solve(graph_rows(pg, keep))
+    det = math.prod(pivots, start=Fraction(1))
+    assert det.denominator == 1
+    return abs(int(det))
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17)

@@ -163,3 +163,28 @@ def test_analyze_g5_finishes_with_torsion_equal_to_det_S(capsys):
     det = det_S(derive_from_generators(parse_generators(gens)))
     assert torsion == int(payload["determinants"]["detS"]) == det
     assert len(str(det)) == 46
+
+
+@pytest.mark.parametrize(
+    "generators, edges, self_int",
+    [
+        ("8,12,26,53", (), 2),  # QHS input, an indefinite one-vertex graph of det 2
+        ("24,36,75,311", ((0, 1), (1, 2), (2, 0)), -3),  # not-QHS input, a cycle
+    ],
+)
+def test_graph_errors_exit_1_with_one_line(generators, edges, self_int, monkeypatch, capsys):
+    from branchlink import cli
+    from branchlink.plumbing import PlumbingGraph, Vertex
+
+    n = max((max(e) for e in edges), default=0) + 1
+    graph = PlumbingGraph(
+        vertices=tuple(Vertex(vid=i, genus=0, self_int=self_int, label=f"v{i}") for i in range(n)),
+        edges=edges,
+        strict=((),),
+    )
+    monkeypatch.setattr(cli.pl, "assemble_full_resolution", lambda qr: graph)
+    assert main(["analyze", generators]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert captured.err.count("\n") == 1

@@ -1,0 +1,277 @@
+"""The integer tree kernel against independent oracles, on seeded inputs."""
+
+import math
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from branchlink._linalg import NotATree, TreeKernel, ZeroPivot
+from branchlink.semigroup import derive_from_generators, random_plane_semigroup
+from branchlink.qres import compute_qresolution
+from branchlink.plumbing import (
+    NotNegativeDefinite,
+    PlumbingGraph,
+    Vertex,
+    assemble_full_resolution,
+    graph_determinant,
+    h1_link,
+    is_negative_definite,
+    minimize,
+    pullback_on_full_resolution,
+)
+from conftest import (
+    fraction_solve,
+    graph_rows,
+    naive_det,
+    oracle_cut_determinant,
+    random_zhs_semigroup,
+)
+
+
+def dense(diag, edges):
+    n = len(diag)
+    m = [[0] * n for _ in range(n)]
+    for i, d in enumerate(diag):
+        m[i][i] = d
+    for i, j in edges:
+        m[i][j] = m[j][i] = 1
+    return m
+
+
+def sylvester_negative_definite(m) -> bool:
+    """(-1)^k times every leading principal minor is positive."""
+    return all(
+        (-1) ** k * naive_det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1)
+    )
+
+
+def random_forest(rng, n, components=1):
+    """Random labelled forest: each vertex after the first few hangs off an
+    earlier one, then the labels are shuffled so roots are not always 0."""
+    edges = [(rng.randrange(i), i) for i in range(components, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [(perm[i], perm[j]) for i, j in edges]
+
+
+def random_cases(seed=5, count=400):
+    rng = random.Random(seed)
+    cases = [([-3], []), ([2], []), ([0], []), ([-1, -1, -1], [(0, 1), (1, 2)])]
+    while len(cases) < count:
+        n = rng.randint(1, 7)
+        components = rng.randint(1, min(n, 3))
+        edges = random_forest(rng, n, components)
+        low = rng.choice((-5, -3, -2))  # the least diagonal entry sets the mix of cases
+        diag = [rng.randint(low, 1) for _ in range(n)]
+        cases.append((diag, edges))
+    return cases
+
+
+def test_determinant_and_definiteness_match_oracles():
+    kinds = {"definite": 0, "indefinite": 0, "singular": 0, "zero pivot": 0}
+    for diag, edges in random_cases():
+        m = dense(diag, edges)
+        tree = TreeKernel(diag, edges)
+        det = naive_det(m)
+        assert tree.det == det
+        definite = sylvester_negative_definite(m)
+        assert tree.negative_definite() is definite
+        if definite:
+            kinds["definite"] += 1
+        elif det == 0:
+            kinds["singular"] += 1
+        elif any(d == 0 for d in tree.D):
+            kinds["zero pivot"] += 1
+        else:
+            kinds["indefinite"] += 1
+    assert all(count >= 10 for count in kinds.values()), kinds
+
+
+def test_zero_pivot_on_a_nonsingular_chain():
+    # leaf-first pivots -1, 0, ...: the middle pivot is 0 but det = 1
+    tree = TreeKernel([-1, -1, -1], [(0, 1), (1, 2)])
+    assert tree.det == naive_det(dense([-1, -1, -1], [(0, 1), (1, 2)])) == 1
+    assert not tree.negative_definite()
+    with pytest.raises(ZeroPivot):
+        tree.solve([1, 0, 0])
+
+
+def test_one_vertex_and_empty_graphs():
+    assert TreeKernel([-7], []).det == -7
+    assert TreeKernel([-7], []).negative_definite()
+    assert TreeKernel([-7], []).solve([14]) == [-2]
+    assert TreeKernel([-7], []).solve([1]) == [Fraction(-1, 7)]
+    empty = TreeKernel([], [])
+    assert empty.det == 1 and empty.negative_definite() and empty.solve([]) == []
+
+
+def test_branch_determinants_match_cofactor_oracle():
+    for diag, edges in random_cases(seed=8, count=200):
+        tree = TreeKernel(diag, edges)
+        m = dense(diag, edges)
+        adj = {i: [] for i in range(len(diag))}
+        for i, j in edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        for v in adj:
+            for u in adj[v]:
+                piece, stack = set(), [u]
+                while stack:
+                    w = stack.pop()
+                    if w not in piece and w != v:
+                        piece.add(w)
+                        stack.extend(adj[w])
+                idx = sorted(piece)
+                minor = [[m[i][j] for j in idx] for i in idx]
+                assert tree.branch_determinant(v, u) == naive_det(minor)
+        with pytest.raises(ValueError):
+            tree.branch_determinant(0, 0)
+
+
+def test_solve_matches_fraction_oracle_on_random_forests():
+    rng = random.Random(13)
+    solved = 0
+    for diag, edges in random_cases(seed=13, count=300):
+        tree = TreeKernel(diag, edges)
+        if any(d == 0 for d in tree.D):
+            continue
+        rhs = [rng.randint(-9, 9) for _ in diag]
+        rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(dense(diag, edges))}
+        try:
+            _, expected = fraction_solve(rows, rhs)
+        except ZeroDivisionError:
+            continue  # the oracle's least-degree order met a zero pivot
+        got = tree.solve(rhs)
+        assert got == expected
+        assert all(isinstance(x, int) for x, y in zip(got, expected) if y.denominator == 1)
+        solved += 1
+    assert solved >= 100
+
+
+def test_cut_determinants_match_fraction_oracle_on_zhs_graphs():
+    rng = random.Random(71)
+    pairs = 0
+    for _ in range(10):
+        beta = random_zhs_semigroup(rng.choice([3, 4]), rng)
+        pg = assemble_full_resolution(compute_qresolution(derive_from_generators(beta)))
+        tree = pg.tree_kernel()
+        adj = pg.adjacency()
+        for v in (v for v in adj if len(adj[v]) >= 3):
+            for u in adj[v]:
+                assert abs(tree.branch_determinant(v, u)) == oracle_cut_determinant(pg, v, u)
+                pairs += 1
+    assert pairs >= 60
+
+
+def test_pullback_matches_fraction_oracle_on_seeded_graphs():
+    for trial in range(12):
+        cd = derive_from_generators(random_plane_semigroup(3 + trial % 3, 4, seed=f"tk:{trial}"))
+        qr = compute_qresolution(cd)
+        pg = assemble_full_resolution(qr)
+        rhs = [0] * pg.n
+        for vid, mult in pg.arrow:
+            rhs[vid] -= mult
+        _, expected = fraction_solve(graph_rows(pg), rhs)
+        assert list(pullback_on_full_resolution(pg, qr).values()) == expected
+        pivots, _ = fraction_solve(graph_rows(pg))
+        assert graph_determinant(pg) == abs(math.prod(pivots, start=Fraction(1)))
+        assert is_negative_definite(pg) is all(p < 0 for p in pivots)
+
+
+def cycle_graph():
+    verts = tuple(Vertex(vid=i, genus=0, self_int=-3, label=f"c{i}") for i in range(3))
+    return PlumbingGraph(vertices=verts, edges=((0, 1), (1, 2), (2, 0)), strict=((),))
+
+
+def test_graph_with_a_cycle_raises_not_a_tree():
+    pg = cycle_graph()
+    for layer in (graph_determinant, is_negative_definite, h1_link):
+        with pytest.raises(NotATree):
+            layer(pg)
+    with pytest.raises(NotATree):
+        TreeKernel([-2, -2], [(0, 1), (0, 1)])  # a repeated edge is a cycle
+    with pytest.raises(NotATree):
+        TreeKernel([-2], [(0, 0)])  # so is a loop
+
+
+def test_h1_rejects_zero_pivot_graph():
+    verts = tuple(Vertex(vid=i, genus=0, self_int=-1, label=f"c{i}") for i in range(3))
+    pg = PlumbingGraph(vertices=verts, edges=((0, 1), (1, 2)), strict=((),))
+    assert graph_determinant(pg) == 1
+    with pytest.raises(NotNegativeDefinite):
+        h1_link(pg)
+
+
+def rescan_minimize(pg):
+    """The contraction pass by full rescans: least eligible vid first."""
+    vertices = {v.vid: v.self_int for v in pg.vertices}
+    genus = {v.vid: v.genus for v in pg.vertices}
+    edges = {tuple(sorted(e)) for e in pg.edges}
+    order = []
+    while True:
+        for vid in sorted(vertices):
+            nbrs = [j for e in edges if vid in e for j in e if j != vid]
+            if genus[vid] == 0 and vertices[vid] == -1 and len(nbrs) <= 2:
+                break
+        else:
+            return order, vertices, edges
+        order.append(vid)
+        del vertices[vid]
+        edges = {e for e in edges if vid not in e}
+        for u in nbrs:
+            vertices[u] += 1
+        if len(nbrs) == 2:
+            edges.add(tuple(sorted(nbrs)))
+
+
+def test_minimize_keeps_the_rescan_contraction_order():
+    rng = random.Random(17)
+    cascades = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        edges = random_forest(rng, n, rng.randint(1, 2))
+        diag = [rng.choice((-1, -1, -2, -2, -3)) for _ in range(n)]
+        verts = tuple(Vertex(vid=i, genus=0, self_int=d, label=f"v{i}") for i, d in enumerate(diag))
+        pg = PlumbingGraph(vertices=verts, edges=tuple(edges), strict=((),))
+        order, left, left_edges = rescan_minimize(pg)
+        reduced, contracted = minimize(pg)
+        assert contracted == [f"v{vid}" for vid in order]
+        keep = sorted(left)
+        assert [v.self_int for v in reduced.vertices] == [left[vid] for vid in keep]
+        relabel = {old: new for new, old in enumerate(keep)}
+        assert reduced.edges == tuple(sorted((relabel[i], relabel[j]) for i, j in left_edges))
+        cascades += len(order) > 1
+    assert cascades >= 30
+
+
+def test_checks_survive_python_O():
+    script = """
+import sys
+from dataclasses import replace
+from branchlink import cli
+from branchlink.semigroup import derive_from_generators
+from branchlink.qres import compute_qresolution
+from branchlink.plumbing import assemble_full_resolution, pullback_on_full_resolution
+from branchlink.detcalc import LinkClass, LinkKind
+
+assert False, "asserts must be stripped"
+qr = compute_qresolution(derive_from_generators((8, 12, 26, 53)))
+pg = assemble_full_resolution(qr)
+try:
+    pullback_on_full_resolution(pg, replace(qr, N=tuple(x + 1 for x in qr.N)))
+    print("pullback: no error")
+except ArithmeticError as exc:
+    print("pullback:", exc)
+cli.pl.classify_topologically = lambda graph: LinkClass(LinkKind.ZHS, (), ())
+print("exit", cli.main(["analyze", "8,12,26,53"]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pullback: level 1 multiplicity is not N_k" in proc.stdout
+    assert "exit 1" in proc.stdout
+    assert proc.stderr == "internal error: classifier routes disagree\n"
