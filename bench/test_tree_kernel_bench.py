@@ -9,6 +9,8 @@ only, so it never runs these)::
 Each benchmark checks its result, so a fast wrong kernel fails.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from branchlink.semigroup import derive_from_generators
@@ -33,9 +35,14 @@ def run(benchmark, fn, *args):
     return benchmark.pedantic(fn, args=args, rounds=5, iterations=1, warmup_rounds=1)
 
 
+def fresh(pg):
+    """A copy of pg without its kept tree kernel, so each round builds one."""
+    return replace(pg)
+
+
 def test_leaf_to_root_pass(benchmark, graph):
     cd, _, pg = graph
-    tree = run(benchmark, pg.tree_kernel)
+    tree = run(benchmark, lambda: fresh(pg).tree_kernel())
     assert abs(tree.det) == det_S(cd)
     assert tree.negative_definite()
 
@@ -46,7 +53,7 @@ def test_rerooting_pass(benchmark, graph):
     pairs = [(v, u) for v in adj if len(adj[v]) >= 3 for u in adj[v]]
 
     def cut_determinants():
-        tree = pg.tree_kernel()
+        tree = fresh(pg).tree_kernel()
         return [tree.branch_determinant(v, u) for v, u in pairs]
 
     weights = run(benchmark, cut_determinants)
@@ -55,5 +62,5 @@ def test_rerooting_pass(benchmark, graph):
 
 def test_pullback_solve(benchmark, graph):
     _, qr, pg = graph
-    mult = run(benchmark, pullback_on_full_resolution, pg, qr)
+    mult = run(benchmark, lambda: pullback_on_full_resolution(fresh(pg), qr))
     assert len(mult) == pg.n

@@ -35,7 +35,6 @@ from .qres import (
 from .detcalc import (
     LinkClass,
     LinkKind,
-    RationalMatrix,
     build_intersection_matrix,
     classify_brieskorn_pham,
     classify_link,

@@ -1,11 +1,11 @@
 """Exact linear algebra: determinants, solves, Smith normal form.
 
 Everything works over arbitrary-precision integers and fractions; no
-floating point anywhere.  Plumbing graphs are trees, so one integer tree
-kernel (``TreeKernel``) gives their determinants, definiteness signs, cut
-determinants and solves.  The dense rational matrices of the partial
-resolution go through a symmetric elimination that pivots by least degree,
-with a Bareiss fallback.  The Smith normal form works modulo the
+floating point anywhere.  Every intersection matrix in the package is a
+tree: the plumbing graph with edge weights 1 and the partial-resolution
+matrix with edge weights 1/d_{k(k+1)}.  So one exact tree kernel
+(``TreeKernel``) gives all their determinants, definiteness signs, cut
+determinants and solves.  The Smith normal form works modulo the
 determinant: sparse unit-pivot elimination first, then a small dense core
 over Z/|det|.
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 
 class ZeroPivot(ArithmeticError):
-    """Symmetric elimination hit a zero diagonal pivot."""
+    """The tree solve hit a zero pivot."""
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -47,134 +47,37 @@ def continuant(ks) -> int:
     return cur
 
 
-def _to_sparse(matrix) -> dict:
-    """Nonzero entries of a dense square matrix as rows {i: {j: Fraction}}."""
-    return {
-        i: {j: Fraction(x) for j, x in enumerate(row) if x} for i, row in enumerate(matrix)
-    }
-
-
-def _check_symmetric(matrix) -> bool:
-    n = len(matrix)
-    return all(len(row) == n for row in matrix) and all(
-        matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i + 1, n)
-    )
-
-
-def _elimination_order(rows, alive):
-    """Lazy min-degree heap over the live rows."""
-    heap = [(len(row), v) for v, row in rows.items()]
-    heapq.heapify(heap)
-    while heap:
-        deg, v = heapq.heappop(heap)
-        if v not in alive:
-            continue
-        if deg != len(rows[v]):
-            heapq.heappush(heap, (len(rows[v]), v))
-            continue
-        yield v, heap
-
-
-def sym_pivots(matrix) -> list[Fraction]:
-    """Pivots of an exact symmetric elimination with min-degree ordering.
-
-    The matrix is negative definite iff all pivots are negative (Sylvester,
-    applied in the permuted order).  Raises ZeroPivot on a zero diagonal
-    pivot, which already rules out definiteness.  Takes a dense symmetric
-    nested sequence.
-    """
-    rows = _to_sparse(matrix)
-    alive = set(rows)
-    pivots = []
-    for v, heap in _elimination_order(rows, alive):
-        alive.discard(v)
-        row_v = rows[v]
-        rows[v] = {}
-        p = row_v.pop(v, Fraction(0))
-        if p == 0:
-            raise ZeroPivot(f"zero pivot at index {v}")
-        pivots.append(p)
-        nbrs = [j for j in row_v if j in alive]
-        for i in nbrs:
-            f = rows[i].pop(v) / p
-            ri = rows[i]
-            for j in nbrs:
-                ri[j] = ri.get(j, Fraction(0)) - f * row_v[j]
-                if ri[j] == 0:
-                    del ri[j]
-            heapq.heappush(heap, (len(ri), i))
-    return pivots
-
-
-def det_exact(matrix) -> Fraction:
-    """Exact determinant of a dense square matrix of integers/fractions."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    if _check_symmetric(matrix):
-        try:
-            pivots = sym_pivots(matrix)
-            return math.prod(pivots, start=Fraction(1))
-        except ZeroPivot:
-            pass
-    return _det_bareiss(matrix)
-
-
-def _det_bareiss(matrix) -> Fraction:
-    """Fraction-free Bareiss elimination after clearing denominators."""
-    n = len(matrix)
-    scale = Fraction(1)
-    rows = []
-    for row in matrix:
-        den = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        scale *= den
-        rows.append([int(Fraction(x) * den) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return Fraction(sign * rows[n - 1][n - 1], 1) / scale
-
-
 class NotATree(ValueError):
     """The graph of the matrix has a cycle, so the tree kernel does not apply."""
 
 
 class TreeKernel:
-    """Exact integer kernel for a symmetric matrix whose graph is a forest.
+    """Exact kernel for a symmetric matrix whose graph is a forest.
 
-    The matrix has the integer diagonal ``diag`` and an entry 1 at (i, j)
-    and (j, i) for every edge (i, j); a cycle, a repeated edge or a loop
-    raises NotATree.  Each component is rooted at its least vertex and one
-    leaf-to-root pass gives, for every vertex v,
+    The matrix has the diagonal ``diag`` and the entry w at (i, j) and
+    (j, i) for every weighted edge (i, j, w) of the sequence ``edges``,
+    which is read twice (the shape first, then the weights); a cycle, a
+    repeated edge or a loop raises NotATree.  Entries are ints or Fractions;
+    only the solve divides, so a zero pivot needs no fallback and integer
+    data keeps integer determinants.  Each component is rooted at its least
+    vertex and one leaf-to-root pass gives, for every vertex v,
 
         D[v] = det of the subtree at v,  P[v] = det of that subtree minus v,
 
-    by the pair recurrence (D, P) <- (D*D_c - P*P_c, P*D_c) over the
-    children c, from (diag[v], 1).  D[v]/P[v] is the pivot of v in a
-    leaf-first symmetric elimination, so the determinant and the signs of
-    every pivot come from this one pass; a rerooting pass gives the cut
-    determinants and a back-substitution the solve (Neumann, *A calculus for
-    plumbing*, 1981; Eisenbud and Neumann, 1985).
+    by the pair recurrence (D, P) <- (D*D_c - w_c^2*P*P_c, P*D_c) over the
+    children c, from (diag[v], 1), where w_c weighs the edge from c up to v.
+    D[v]/P[v] is the pivot of v in a leaf-first symmetric elimination, so
+    the determinant and the signs of every pivot come from this one pass; a
+    rerooting pass gives the cut determinants and a back-substitution the
+    solve (Neumann, *A calculus for plumbing*, 1981; Eisenbud and Neumann,
+    1985).
     """
 
     def __init__(self, diag, edges):
         n = len(diag)
         adj = [[] for _ in range(n)]
         count = 0
-        for i, j in edges:
+        for i, j, _ in edges:
             adj[i].append(j)
             adj[j].append(i)
             count += 1
@@ -201,15 +104,19 @@ class TreeKernel:
             raise NotATree(
                 f"{count} edges on {n} vertices in {len(roots)} components: not a forest"
             )
+        weight = [0] * n  # weight of the edge up to the parent; 0 at a root
+        for i, j, w in edges:
+            weight[j if parent[j] == i else i] = w
         D = list(diag)
         P = [1] * n
         for v in reversed(order):  # children before parents
             u = parent[v]
             if u >= 0:
-                D[u], P[u] = D[u] * D[v] - P[u] * P[v], P[u] * D[v]
+                D[u], P[u] = D[u] * D[v] - weight[v] ** 2 * P[u] * P[v], P[u] * D[v]
+        self.n = n
         self.diag = diag
-        self.adj = adj
         self.parent = parent
+        self.weight = weight
         self.order = order
         self.roots = roots
         self.D = D
@@ -217,7 +124,7 @@ class TreeKernel:
         self._above = None
 
     @property
-    def det(self) -> int:
+    def det(self):
         """Determinant of the whole matrix: the product over the components."""
         return math.prod(self.D[r] for r in self.roots)
 
@@ -225,7 +132,7 @@ class TreeKernel:
         """Every leaf-first pivot D[v]/P[v] is negative, with P[v] != 0."""
         return all(d < 0 < p or p < 0 < d for d, p in zip(self.D, self.P))
 
-    def branch_determinant(self, v: int, u: int) -> int:
+    def branch_determinant(self, v: int, u: int):
         """det of the component of the forest minus v that holds its neighbour u."""
         if self.parent[u] == v:
             return self.D[u]
@@ -235,58 +142,64 @@ class TreeKernel:
             self._above = self._reroot()
         return self._above[v]
 
-    def _reroot(self) -> list[int]:
+    def _reroot(self) -> list:
         """Root-to-leaf pass: det of the branch above every vertex.
 
         The branch above v is the component of the forest minus v that holds
-        the parent of v.  A branch with pair (D_b, P_b) at a vertex w acts
-        on w's pair as x*I - y*N with (x, y) = (D_b, P_b) and N nilpotent,
-        so these actions commute and multiply as (x1*x2, x1*y2 + y1*x2).
-        The branch above a child c of w is w's pair from every branch at w
-        but c's own: a prefix over the branches before c, starting with
-        the branch above w, times a suffix over those after it.
+        the parent of v.  A branch with pair (D_b, P_b), joined to a vertex
+        by an edge of weight w, acts on that vertex's pair as x*I - y*N with
+        (x, y) = (D_b, w^2*P_b) and N nilpotent, so these actions commute and
+        multiply as (x1*x2, x1*y2 + y1*x2).  The branch above a child c of w
+        is w's pair from every branch at w but c's own: a prefix over the
+        branches before c, starting with the branch above w, times a suffix
+        over those after it.  A root has no branch above it: (1, 0).
         """
-        D, P, diag, parent = self.D, self.P, self.diag, self.parent
+        D, diag, parent, weight = self.D, self.diag, self.parent, self.weight
+        Y = [w * w * p for w, p in zip(weight, self.P)]  # y of each subtree's action
+        children = [[] for _ in D]
+        for v in self.order:
+            if parent[v] >= 0:
+                children[parent[v]].append(v)
         above_D = [1] * len(D)
         above_P = [0] * len(D)
         for w in self.order:
-            kids = [c for c in self.adj[w] if parent[c] == w]
+            kids = children[w]
             if not kids:
                 continue
-            x, y = (above_D[w], above_P[w]) if parent[w] >= 0 else (1, 0)
+            x, y = above_D[w], weight[w] ** 2 * above_P[w]
             suffix = [(1, 0)]
             for c in reversed(kids[1:]):
                 sx, sy = suffix[-1]
-                suffix.append((D[c] * sx, D[c] * sy + P[c] * sx))
+                suffix.append((D[c] * sx, D[c] * sy + Y[c] * sx))
             for c in kids:
                 sx, sy = suffix.pop()
                 px, py = x * sx, x * sy + y * sx
                 above_D[c], above_P[c] = diag[w] * px - py, px
-                x, y = x * D[c], x * P[c] + y * D[c]
+                x, y = x * D[c], x * Y[c] + y * D[c]
         return above_D
 
     def solve(self, rhs) -> list:
         """Exact solution x of A x = rhs; ints where integral, else Fractions.
 
         Leaf-to-root elimination carries B[v], the rhs of v after its subtree
-        is eliminated times P[v], by B <- B*D_c - P*B_c; back-substitution
-        from the roots then gives x[v] = (B[v] - x[parent] * P[v]) / D[v].
+        is eliminated times P[v], by B <- B*D_c - w_c*P*B_c; back-substitution
+        from the roots then gives x[v] = (B[v] - w_v*x[parent]*P[v]) / D[v].
         Raises ZeroPivot when some D[v] is 0, which no definite matrix has.
         """
-        D, P, parent = self.D, self.P, self.parent
+        D, P, parent, weight = self.D, self.P, self.parent, self.weight
         B = list(rhs)
         partial = [1] * len(D)  # P[u] over the children folded in so far
         for v in reversed(self.order):
             u = parent[v]
             if u >= 0:
-                B[u] = B[u] * D[v] - partial[u] * B[v]
+                B[u] = B[u] * D[v] - weight[v] * partial[u] * B[v]
                 partial[u] *= D[v]
         x = [0] * len(D)
         for v in self.order:
             if D[v] == 0:
                 raise ZeroPivot(f"zero pivot at index {v}")
             u = parent[v]
-            num = B[v] if u < 0 else B[v] - x[u] * P[v]
+            num = B[v] if u < 0 else B[v] - weight[v] * x[u] * P[v]
             q, r = divmod(num, D[v])
             x[v] = q if r == 0 else Fraction(num, D[v])
         return x

@@ -113,6 +113,8 @@ def build_report(generators, minimize_pass: bool = False) -> dict:
     dets = {"detA": det_a}
     if g >= 3:
         dets["detA_closed_form"] = det_closed_form(qr)
+        if dets["detA_closed_form"] != det_a:
+            raise ArithmeticError("det A routes disagree")
     dets["detS"] = det_S(cd, qr)
     report["determinants"] = dets
 

@@ -1,10 +1,12 @@
 """Exact intersection-matrix determinants and link classification.
 
-Builds the block intersection matrix of the partial resolution, evaluates
-its determinant both by elimination and by the closed-form product of the
-R-sequence, computes the surface determinant along two independent routes,
-and classifies the link of the singularity (rational / integral homology
-sphere / neither) by the gcd criterion.
+Builds the intersection matrix of the partial resolution as a weighted
+tree (``_linalg.TreeKernel``), evaluates its determinant both by the tree
+recurrence and by the closed-form product of the R-sequence, computes the
+surface determinant along two independent routes, and classifies the link
+of the singularity (rational / integral homology sphere / neither) by the
+gcd criterion.  Every dual-route check raises ArithmeticError on a
+mismatch, so it also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -58,74 +60,41 @@ class LinkClass:
         return self.kind is LinkKind.ZHS
 
 
-class RationalMatrix:
-    """Square symmetric matrix of exact rationals."""
+def build_intersection_matrix(qr: QResolutionData) -> _linalg.TreeKernel:
+    """Tree kernel of the intersection matrix of the partial resolution.
 
-    def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        self.n = len(self.rows)
-        assert all(len(row) == self.n for row in self.rows)
-        self._det = None
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def det(self) -> Fraction:
-        if self._det is None:
-            self._det = _linalg.det_exact(self.rows)
-        return self._det
-
-    def is_negative_definite(self) -> bool:
-        try:
-            return all(p < 0 for p in _linalg.sym_pivots(self.rows))
-        except _linalg.ZeroPivot:
-            return False
-
-
-def build_intersection_matrix(qr: QResolutionData) -> RationalMatrix:
-    """Block intersection matrix of the partial resolution.
-
-    One row per exceptional component, levels in increasing order; the
-    diagonal blocks are -a_k times the identity and each level-(k+1)
-    component meets p_k consecutive level-k components with intersection
-    number 1/d_{k(k+1)}.
+    One vertex per exceptional component, levels in increasing order; the
+    diagonal holds -a_k and each level-(k+1) component meets p_k consecutive
+    level-k components with intersection number 1/d_{k(k+1)}.  Every
+    level-k component meets at most one component of level k+1, so the
+    matrix is a weighted forest and no dense rows are built.
     """
     g = qr.g
     offsets = [0]
     for k in range(1, g):
         offsets.append(offsets[-1] + qr.r[k])
-    dim = offsets[-1]
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for k in range(1, g):
-        for j in range(qr.r[k]):
-            i = offsets[k - 1] + j
-            rows[i][i] = -qr.a[k]
+    diag = [-qr.a[k] for k in range(1, g) for _ in range(qr.r[k])]
+    edges = []
     for k in range(1, g - 1):
         w = Fraction(1, qr.d_edge[k])
         for j2 in range(qr.r[k + 1]):
             for t in range(qr.p[k]):
                 j1 = j2 * qr.p[k] + t
-                i1 = offsets[k - 1] + j1
-                i2 = offsets[k] + j2
-                rows[i1][i2] = w
-                rows[i2][i1] = w
-    return RationalMatrix(rows)
+                edges.append((offsets[k - 1] + j1, offsets[k] + j2, w))
+    return _linalg.TreeKernel(diag, edges)
 
 
-def det_exact(m) -> Fraction:
-    """Exact determinant of a RationalMatrix or plain nested sequence."""
-    if isinstance(m, RationalMatrix):
-        return m.det()
-    return _linalg.det_exact(m)
+def det_exact(m: _linalg.TreeKernel) -> Fraction:
+    """Exact determinant of the partial-resolution matrix."""
+    return m.det
 
 
 @dataclass(frozen=True)
 class RSequence:
     """The sequence R_0, R_1, ..., built from (a_k), (p_k), (d_{k(k+1)}).
 
-    values[l] = R_l; the recurrence -R_{l+1} = -a_{l+1} R_l +
-    p_l R_{l-1} / d_{l(l+1)}^2 is checked against the direct signed-sum
-    definition over non-adjacent index pairs at construction.
+    values[l] = R_l, from the recurrence -R_{l+1} = -a_{l+1} R_l +
+    p_l R_{l-1} / d_{l(l+1)}^2.
     """
 
     a: tuple[Fraction, ...]
@@ -135,27 +104,6 @@ class RSequence:
 
     def __getitem__(self, l: int) -> Fraction:
         return self.values[l]
-
-
-def _r_direct(a, p, d, l: int) -> Fraction:
-    """R_l by enumerating non-adjacent subsets of {(k, k+1) : k < l}."""
-    pairs = list(range(1, l))  # pair (k, k+1) identified with k
-    total = Fraction(0)
-    for mask in range(1 << len(pairs)):
-        ks = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if any(k2 - k1 == 1 for k1, k2 in zip(ks, ks[1:])):
-            continue
-        covered = set()
-        for k in ks:
-            covered.update((k, k + 1))
-        term = Fraction((-1) ** len(ks))
-        for k in ks:
-            term *= Fraction(p[k]) / (Fraction(d[k]) ** 2)
-        for k in range(1, l + 1):
-            if k not in covered:
-                term *= Fraction(a[k])
-        total += term
-    return total
 
 
 def r_sequence(a, p, d) -> RSequence:
@@ -179,8 +127,6 @@ def r_sequence(a, p, d) -> RSequence:
     for l in range(1, m):
         nxt = a[l + 1] * values[l] - p[l] * values[l - 1] / d[l] ** 2
         values.append(nxt)
-    for l in range(2, m + 1):
-        assert values[l] == _r_direct(a, p, d, l), f"R_{l} recurrence/direct mismatch"
     return RSequence(a=a, p=p, d=d, values=tuple(values))
 
 
@@ -196,7 +142,7 @@ def det_closed_form(qr: QResolutionData) -> Fraction:
     """det of the intersection matrix by the R-product formula (g >= 3).
 
     Also evaluates the explicit quotient n_g prod N_k^{r_{k-1}-r_k} /
-    (N_1^{r_1} d prod d_{k(k+1)}^{r_k}) and asserts the two agree.
+    (N_1^{r_1} d prod d_{k(k+1)}^{r_k}); ArithmeticError if the two differ.
     """
     g = qr.g
     if g < 3:
@@ -213,7 +159,8 @@ def det_closed_form(qr: QResolutionData) -> Fraction:
     explicit /= qr.d_last
     for k in range(1, g - 1):
         explicit /= Fraction(qr.d_edge[k]) ** qr.r[k]
-    assert det == explicit, "R-product and explicit determinant disagree"
+    if det != explicit:
+        raise ArithmeticError("R-product and explicit determinant disagree")
     return det
 
 
@@ -221,25 +168,20 @@ def det_b_matrices(qr: QResolutionData, s: int) -> tuple[Fraction, Fraction]:
     """(det B_s, det B'_s): tail and head tridiagonal determinants.
 
     B_s is tridiagonal in -a_s, ..., -a_{g-1}; B'_s in -a_1, ..., -a_s; the
-    off-diagonal entries are the 1/d_{k(k+1)}.
+    off-diagonal entries are the 1/d_{k(k+1)}.  Both are weighted paths, so
+    the tree kernel evaluates them.
     """
     g = qr.g
     if not 1 <= s <= g - 1:
         raise IndexOutOfRange(f"s = {s} out of range 1..{g - 1}")
 
-    def tridiag(ks):
-        m = len(ks)
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        for i, k in enumerate(ks):
-            rows[i][i] = -qr.a[k]
-        for i in range(m - 1):
-            w = Fraction(1, qr.d_edge[ks[i]])
-            rows[i][i + 1] = w
-            rows[i + 1][i] = w
-        return rows
+    def path_det(ks):
+        diag = [-qr.a[k] for k in ks]
+        edges = [(i, i + 1, Fraction(1, qr.d_edge[k])) for i, k in enumerate(ks[:-1])]
+        return _linalg.TreeKernel(diag, edges).det
 
-    tail = _linalg.det_exact(tridiag(list(range(s, g))))
-    head = _linalg.det_exact(tridiag(list(range(1, s + 1))))
+    tail = path_det(range(s, g))
+    head = path_det(range(1, s + 1))
     return tail, head
 
 
@@ -266,20 +208,24 @@ def det_S(cd: CharacteristicData, qr: QResolutionData | None = None) -> int:
     if g == 2:
         value = classify_brieskorn_pham(cd.n[0], cd.n[1], cd.n[2]).determinant
         blowup = abs(Fraction(qr.a[1])) * census_order_product(qr)
-        assert blowup == value, "Brieskorn-Pham and blow-up determinants disagree"
+        if blowup != value:
+            raise ArithmeticError("Brieskorn-Pham and blow-up determinants disagree")
         return value
     product = 1
     for k in range(1, g):
         dk = qr.N[k] // qr.M[k]
         exp1 = cd.beta[k] // qr.M[k] - qr.r[k]
         lcm_from_k = math.lcm(cd.n[k], cd.lcm_tail(k))
-        assert qr.N[k] % lcm_from_k == 0
+        if qr.N[k] % lcm_from_k:
+            raise ArithmeticError(f"N_{k} is not a multiple of lcm(n_{k}, ..., n_g)")
         exp2 = qr.r[k - 1] - qr.r[k]
-        assert exp1 >= 0 and exp2 >= 0
+        if exp1 < 0 or exp2 < 0:
+            raise ArithmeticError(f"negative exponent at level {k} of det(S)")
         product *= dk ** exp1 * (qr.N[k] // lcm_from_k) ** exp2
     # census_order_product already includes the order at P
     other = abs(det_closed_form(qr)) * census_order_product(qr)
-    assert other == product, "det(S) routes disagree"
+    if other != product:
+        raise ArithmeticError("det(S) routes disagree")
     return product
 
 
@@ -312,7 +258,8 @@ def classify_link(cd: CharacteristicData) -> LinkClass:
         w.gcd_quot_e == 1 for w in witnesses if w.gcd_quot_e is not None
     )
     if zhs:
-        assert qhs
+        if not qhs:
+            raise ArithmeticError("integral link that is not a rational homology sphere")
         kind = LinkKind.ZHS
     elif qhs:
         kind = LinkKind.QHS
@@ -345,12 +292,14 @@ def classify_brieskorn_pham(a1: int, a2: int, a3: int) -> BPClassification:
         for j, l in ((1, 2), (0, 2), (0, 1))
     )
     num = e * e * alpha[0] * alpha[1] * alpha[2] - e * sum(alpha) + 2
-    assert num % 2 == 0
+    if num % 2:
+        raise ArithmeticError("odd Brieskorn-Pham genus numerator")
     genus = num // 2
     d = []
     for i in range(3):
         aj, al = alpha[(i + 1) % 3], alpha[(i + 2) % 3]
-        assert a[i] % (e * aj * al) == 0
+        if a[i] % (e * aj * al):
+            raise ArithmeticError(f"exponent {a[i]} is not a multiple of {e * aj * al}")
         d.append(a[i] // (e * aj * al))
     determinant = e
     for i in range(3):
@@ -363,7 +312,8 @@ def classify_brieskorn_pham(a1: int, a2: int, a3: int) -> BPClassification:
     )
     if pairwise:
         kind = LinkKind.ZHS
-        assert genus == 0 and determinant == 1
+        if genus != 0 or determinant != 1:
+            raise ArithmeticError("pairwise coprime exponents with genus or det != 1")
     elif qhs:
         kind = LinkKind.QHS
     else:

@@ -91,12 +91,17 @@ class PlumbingGraph:
     def tree_kernel(self) -> _linalg.TreeKernel:
         """The integer tree kernel of the intersection matrix (vids 0..n-1).
 
-        Raises NotATree if the graph has a cycle.
+        Built on the first call and kept on the instance, so every layer
+        reads the same pass.  Raises NotATree if the graph has a cycle.
         """
-        diag = [0] * self.n
-        for v in self.vertices:
-            diag[v.vid] = v.self_int
-        return _linalg.TreeKernel(diag, self.edges)
+        tree = self.__dict__.get("_tree_kernel")
+        if tree is None:
+            diag = [0] * self.n
+            for v in self.vertices:
+                diag[v.vid] = v.self_int
+            tree = _linalg.TreeKernel(diag, [(i, j, 1) for i, j in self.edges])
+            self.__dict__["_tree_kernel"] = tree  # frozen: bypass __setattr__
+        return tree
 
 
 def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:

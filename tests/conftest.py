@@ -26,6 +26,60 @@ def naive_det(rows) -> Fraction:
     return total
 
 
+def dense(diag, edges):
+    """Dense symmetric rows with ``diag`` on the diagonal and the weight w at
+    (i, j) and (j, i) for every weighted edge (i, j, w)."""
+    n = len(diag)
+    m = [[0] * n for _ in range(n)]
+    for i, d in enumerate(diag):
+        m[i][i] = d
+    for i, j, w in edges:
+        m[i][j] = m[j][i] = w
+    return m
+
+
+def dense_rows(tree):
+    """Dense rows of the matrix a TreeKernel holds: its diagonal and the
+    weight of every vertex's edge to its parent."""
+    edges = [(v, u, tree.weight[v]) for v, u in enumerate(tree.parent) if u >= 0]
+    return dense(tree.diag, edges)
+
+
+def random_forest(rng, n, components=1):
+    """Random labelled forest: each vertex after the first few hangs off an
+    earlier one, then the labels are shuffled so roots are not always 0."""
+    edges = [(rng.randrange(i), i) for i in range(components, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [(perm[i], perm[j]) for i, j in edges]
+
+
+def r_direct(a, p, d, l: int) -> Fraction:
+    """R_l by enumerating the non-adjacent subsets of {(k, k+1) : k < l}.
+
+    The signed-sum definition of the R-sequence: each chosen pair (k, k+1)
+    contributes -p_k / d_k^2 and each uncovered index k a factor a_k.  It
+    takes 2^(l-1) subsets, so it is the oracle for the recurrence only.
+    """
+    pairs = list(range(1, l))  # pair (k, k+1) identified with k
+    total = Fraction(0)
+    for mask in range(1 << len(pairs)):
+        ks = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        if any(k2 - k1 == 1 for k1, k2 in zip(ks, ks[1:])):
+            continue
+        covered = set()
+        for k in ks:
+            covered.update((k, k + 1))
+        term = Fraction((-1) ** len(ks))
+        for k in ks:
+            term *= Fraction(p[k]) / (Fraction(d[k]) ** 2)
+        for k in range(1, l + 1):
+            if k not in covered:
+                term *= Fraction(a[k])
+        total += term
+    return total
+
+
 def fraction_solve(rows, rhs=None):
     """Exact symmetric elimination over Fractions, least degree first.
 

@@ -42,7 +42,7 @@ from branchlink.splice import (
     splice_from_plumbing,
     verify_en_conditions,
 )
-from conftest import random_zhs_semigroup
+from conftest import r_direct, random_zhs_semigroup
 
 SAMPLE_SIZE = 500
 _cache = {}
@@ -140,7 +140,7 @@ def test_criterion_2_determinant_oracle_equivalence(sample):
     start = time.perf_counter()
     pairs = _qr_pairs(sample)
     for cd, qr in pairs:
-        closed = det_closed_form(qr)  # asserts the explicit quotient internally
+        closed = det_closed_form(qr)  # checks the explicit quotient internally
         eliminated = det_exact(build_intersection_matrix(qr))
         assert closed == eliminated
     elapsed = time.perf_counter() - start
@@ -154,7 +154,7 @@ def test_criterion_2_determinant_oracle_equivalence(sample):
 def test_criterion_3_surface_determinant_dual_route(sample):
     pairs = _qr_pairs(sample)
     for cd, qr in pairs:
-        value = det_S(cd, qr)  # both routes asserted equal and integral inside
+        value = det_S(cd, qr)  # both routes checked equal and integral inside
         assert value >= 1
         assert value == abs(det_closed_form(qr)) * census_order_product(qr)
     print(
@@ -208,7 +208,9 @@ def test_criterion_6_r_sequence_equivalence():
         a = (0,) + tuple(Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(m))
         p = (0,) + tuple(Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(m - 1))
         d = (0,) + tuple(Fraction(rng.randint(1, 12), rng.randint(1, 3)) for _ in range(m - 1))
-        r_sequence(a, p, d)  # recurrence/direct equality asserted internally
+        R = r_sequence(a, p, d)
+        for l in range(m + 1):
+            assert R[l] == r_direct(a, p, d, l)
         runs += 1
     print(
         f"\n[PASS] criterion 6: R-sequence recurrence == direct signed sum on "
@@ -247,7 +249,7 @@ def test_criterion_7_brieskorn_pham_table():
 def test_criterion_8_structural_invariants(sample):
     graphs = _graphs(sample)
     for cd, qr, pg in graphs:
-        assert build_intersection_matrix(qr).is_negative_definite()
+        assert build_intersection_matrix(qr).negative_definite()
         assert is_negative_definite(pg)
     zhs_checked = 0
     rng = random.Random(2025)

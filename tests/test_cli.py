@@ -188,3 +188,33 @@ def test_graph_errors_exit_1_with_one_line(generators, edges, self_int, monkeypa
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_det_a_route_mismatch_exits_1(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from branchlink import cli
+
+    monkeypatch.setattr(cli, "det_closed_form", lambda qr: Fraction(-1, 441))
+    assert main(["analyze", "8,12,26,53", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: det A routes disagree\n"
+
+
+def test_zhs_report_builds_one_tree_kernel(monkeypatch):
+    from branchlink import _linalg
+
+    built = []
+
+    class CountingKernel(_linalg.TreeKernel):
+        def __init__(self, diag, edges):
+            built.append(len(diag))
+            super().__init__(diag, edges)
+
+    monkeypatch.setattr(_linalg, "TreeKernel", CountingKernel)
+    report = build_report((70, 105, 215, 1511))
+    assert report["link"]["class"] == "ZHS" and "splice" in report
+    graph = len(report["plumbing"]["vertices"])
+    # one kernel for the partial-resolution matrix, one for the plumbing graph
+    assert sorted(built) == sorted([sum(report["qresolution"]["r"][1:]), graph])

@@ -6,11 +6,11 @@ import pytest
 
 from branchlink.semigroup import derive_from_generators, random_plane_semigroup
 from branchlink.qres import RequiresG3, compute_qresolution
+from branchlink._linalg import TreeKernel
 from branchlink.detcalc import (
     IndexOutOfRange,
     LinkKind,
     MismatchedLengths,
-    RationalMatrix,
     build_intersection_matrix,
     census_order_product,
     classify_brieskorn_pham,
@@ -21,7 +21,7 @@ from branchlink.detcalc import (
     det_exact,
     r_sequence,
 )
-from conftest import naive_det, random_zhs_semigroup
+from conftest import dense, dense_rows, naive_det, r_direct, random_forest, random_zhs_semigroup
 
 
 def qres_of(beta):
@@ -32,44 +32,57 @@ def test_worked_example_matrix():
     qr = qres_of((8, 12, 26, 53))
     m = build_intersection_matrix(qr)
     f = Fraction
-    assert m.rows == (
-        (f(-13, 21), f(0), f(1, 7)),
-        (f(0), f(-13, 21), f(1, 7)),
-        (f(1, 7), f(1, 7), f(-1, 7)),
-    )
-    assert m.is_negative_definite()
+    assert m.n == 3
+    assert dense_rows(m) == [
+        [f(-13, 21), 0, f(1, 7)],
+        [0, f(-13, 21), f(1, 7)],
+        [f(1, 7), f(1, 7), f(-1, 7)],
+    ]
+    assert m.negative_definite()
 
 
 def test_worked_example_determinant():
     qr = qres_of((8, 12, 26, 53))
     m = build_intersection_matrix(qr)
     assert det_exact(m) == Fraction(-13, 441)
-    assert det_exact(m) == naive_det([list(r) for r in m.rows])
+    assert det_exact(m) == naive_det(dense_rows(m))
     assert det_closed_form(qr) == Fraction(-13, 441)
 
 
 def test_det_exact_trivial_cases():
     a1 = Fraction(13, 21)
-    assert det_exact([[-a1]]) == -a1
-    block = [
-        [-2, 1, 0, 0],
-        [1, -2, 0, 0],
-        [0, 0, -3, 0],
-        [0, 0, 0, -5],
-    ]
-    top = det_exact([[-2, 1], [1, -2]])
+    assert det_exact(TreeKernel([-a1], [])) == -a1
+    # a weighted path of two, next to two isolated vertices
+    block = TreeKernel([-2, -2, -3, -5], [(0, 1, Fraction(1, 3))])
+    top = det_exact(TreeKernel([-2, -2], [(0, 1, Fraction(1, 3))]))
+    assert top == 4 - Fraction(1, 9)
     assert det_exact(block) == top * 15
+    # leaf-first pivots -1, then -4 + 2^2 = 0: no division, so no fallback
+    zero_pivot = TreeKernel([-1, -4, -1], [(0, 1, 1), (1, 2, 2)])
+    assert zero_pivot.D[1] == 0
+    assert det_exact(zero_pivot) == naive_det(dense_rows(zero_pivot)) == 1
 
 
 def test_det_exact_matches_cofactor_oracle_on_random_matrices():
     rng = random.Random(17)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        rows = [
-            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
-            for _ in range(n)
+    weights = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(1, 7))
+    kinds = {"definite": 0, "indefinite": 0, "zero pivot": 0}
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        diag = [Fraction(rng.randint(-6, 2), rng.randint(1, 4)) for _ in range(n)]
+        edges = [
+            (i, j, rng.choice(weights))
+            for i, j in random_forest(rng, n, rng.randint(1, min(n, 2)))
         ]
-        assert det_exact(rows) == naive_det(rows)
+        tree = TreeKernel(diag, edges)
+        assert det_exact(tree) == naive_det(dense(diag, edges))
+        if any(d == 0 for d in tree.D):
+            kinds["zero pivot"] += 1
+        elif tree.negative_definite():
+            kinds["definite"] += 1
+        else:
+            kinds["indefinite"] += 1
+    assert all(count >= 10 for count in kinds.values()), kinds
 
 
 def test_r_sequence_base_and_low_terms():
@@ -105,7 +118,9 @@ def test_r_sequence_recurrence_equals_direct_for_random_rationals():
         d = (0,) + tuple(
             Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m - 1)
         )
-        r_sequence(a, p, d)  # the equality is asserted internally
+        R = r_sequence(a, p, d)
+        for l in range(m + 1):
+            assert R[l] == r_direct(a, p, d, l)
 
 
 def test_det_closed_form_requires_g3():
@@ -264,7 +279,7 @@ def test_negative_definiteness_random():
         g = 3 + trial % 4
         qr = qres_of(random_plane_semigroup(g, 4, seed=f"nd:{trial}"))
         m = build_intersection_matrix(qr)
-        assert m.is_negative_definite()
-    assert not RationalMatrix([[1]]).is_negative_definite()
-    assert not RationalMatrix([[0]]).is_negative_definite()
-    assert not RationalMatrix([[-1, 2], [2, -1]]).is_negative_definite()
+        assert m.negative_definite()
+    assert not TreeKernel([1], []).negative_definite()
+    assert not TreeKernel([0], []).negative_definite()
+    assert not TreeKernel([-1, -1], [(0, 1, 2)]).negative_definite()

@@ -1,0 +1,34 @@
+"""Byte-identical CLI output on a fixed corpus.
+
+``golden_digests.json`` holds the SHA-256 of the stdout of each listed
+``branchlink`` command line.  The digests were recorded before the
+partial-resolution determinant moved onto the tree kernel, so any change in
+the rendered numbers, their order or their formatting shows up here.  The
+corpus is the two PAPER.md examples and eight ``random_plane_semigroup``
+draws with g = 2..6, through ``analyze --json`` with and without
+``--minimize``, plus ``splice --json`` on the integral homology spheres.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from branchlink.cli import main
+
+GOLDEN = json.loads((pathlib.Path(__file__).with_name("golden_digests.json")).read_text())
+
+
+def cli_digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_cli_output_matches_golden_digest(case):
+    assert cli_digest(case["argv"]) == case["sha256"]

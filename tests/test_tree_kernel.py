@@ -23,22 +23,14 @@ from branchlink.plumbing import (
     pullback_on_full_resolution,
 )
 from conftest import (
+    dense,
     fraction_solve,
     graph_rows,
     naive_det,
     oracle_cut_determinant,
+    random_forest,
     random_zhs_semigroup,
 )
-
-
-def dense(diag, edges):
-    n = len(diag)
-    m = [[0] * n for _ in range(n)]
-    for i, d in enumerate(diag):
-        m[i][i] = d
-    for i, j in edges:
-        m[i][j] = m[j][i] = 1
-    return m
 
 
 def sylvester_negative_definite(m) -> bool:
@@ -48,22 +40,29 @@ def sylvester_negative_definite(m) -> bool:
     )
 
 
-def random_forest(rng, n, components=1):
-    """Random labelled forest: each vertex after the first few hangs off an
-    earlier one, then the labels are shuffled so roots are not always 0."""
-    edges = [(rng.randrange(i), i) for i in range(components, n)]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return [(perm[i], perm[j]) for i, j in edges]
+WEIGHTS = (1, 1, 2, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(1, 7))
 
 
 def random_cases(seed=5, count=400):
+    """Seeded weighted forests: half with every weight 1, as in a plumbing
+    graph, half with integer and Fraction weights, as in a partial
+    resolution."""
     rng = random.Random(seed)
-    cases = [([-3], []), ([2], []), ([0], []), ([-1, -1, -1], [(0, 1), (1, 2)])]
+    cases = [
+        ([-3], []),
+        ([2], []),
+        ([0], []),
+        ([-1, -1, -1], [(0, 1, 1), (1, 2, 1)]),
+        ([-1, -4, -1], [(0, 1, 1), (1, 2, 2)]),  # pivots -1, then -4 + 2^2 = 0
+    ]
     while len(cases) < count:
         n = rng.randint(1, 7)
         components = rng.randint(1, min(n, 3))
-        edges = random_forest(rng, n, components)
+        unit = len(cases) % 2 == 0
+        edges = [
+            (i, j, 1 if unit else rng.choice(WEIGHTS))
+            for i, j in random_forest(rng, n, components)
+        ]
         low = rng.choice((-5, -3, -2))  # the least diagonal entry sets the mix of cases
         diag = [rng.randint(low, 1) for _ in range(n)]
         cases.append((diag, edges))
@@ -92,8 +91,8 @@ def test_determinant_and_definiteness_match_oracles():
 
 def test_zero_pivot_on_a_nonsingular_chain():
     # leaf-first pivots -1, 0, ...: the middle pivot is 0 but det = 1
-    tree = TreeKernel([-1, -1, -1], [(0, 1), (1, 2)])
-    assert tree.det == naive_det(dense([-1, -1, -1], [(0, 1), (1, 2)])) == 1
+    tree = TreeKernel([-1, -1, -1], [(0, 1, 1), (1, 2, 1)])
+    assert tree.det == naive_det(dense([-1, -1, -1], [(0, 1, 1), (1, 2, 1)])) == 1
     assert not tree.negative_definite()
     with pytest.raises(ZeroPivot):
         tree.solve([1, 0, 0])
@@ -113,7 +112,7 @@ def test_branch_determinants_match_cofactor_oracle():
         tree = TreeKernel(diag, edges)
         m = dense(diag, edges)
         adj = {i: [] for i in range(len(diag))}
-        for i, j in edges:
+        for i, j, _ in edges:
             adj[i].append(j)
             adj[j].append(i)
         for v in adj:
@@ -192,9 +191,9 @@ def test_graph_with_a_cycle_raises_not_a_tree():
         with pytest.raises(NotATree):
             layer(pg)
     with pytest.raises(NotATree):
-        TreeKernel([-2, -2], [(0, 1), (0, 1)])  # a repeated edge is a cycle
+        TreeKernel([-2, -2], [(0, 1, 1), (0, 1, 1)])  # a repeated edge is a cycle
     with pytest.raises(NotATree):
-        TreeKernel([-2], [(0, 0)])  # so is a loop
+        TreeKernel([-2], [(0, 0, 1)])  # so is a loop
 
 
 def test_h1_rejects_zero_pivot_graph():
@@ -265,6 +264,15 @@ try:
     print("pullback: no error")
 except ArithmeticError as exc:
     print("pullback:", exc)
+from branchlink import detcalc
+cd = derive_from_generators((8, 12, 26, 53))
+real_orders = detcalc.census_order_product
+detcalc.census_order_product = lambda qr: 1  # breaks the blow-up route of det(S)
+try:
+    print("det_S:", detcalc.det_S(cd))
+except ArithmeticError as exc:
+    print("det_S:", exc)
+detcalc.census_order_product = real_orders
 cli.pl.classify_topologically = lambda graph: LinkClass(LinkKind.ZHS, (), ())
 print("exit", cli.main(["analyze", "8,12,26,53"]))
 """
@@ -273,5 +281,6 @@ print("exit", cli.main(["analyze", "8,12,26,53"]))
     )
     assert proc.returncode == 0, proc.stderr
     assert "pullback: level 1 multiplicity is not N_k" in proc.stdout
+    assert "det_S: det(S) routes disagree" in proc.stdout
     assert "exit 1" in proc.stdout
     assert proc.stderr == "internal error: classifier routes disagree\n"
