@@ -36,14 +36,21 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def continuant(ks) -> int:
-    """|det| of the bamboo with self-intersections -k_1, ..., -k_r.
+def continuant(runs) -> int:
+    """|det| of the bamboo given as runs ((k, count), ...) of self-intersection -k.
 
-    Satisfies D_i = k_i * D_{i-1} - D_{i-2}; the empty chain gives 1.
+    Satisfies D_i = k_i * D_{i-1} - D_{i-2}; the empty chain gives 1.  One
+    step acts on (D_i, D_{i-1}) by [[k, -1], [1, 0]], and a run of L 2s by
+    its closed-form power [[L+1, -L], [L, 1-L]], so a run of 2s costs one
+    step whatever its length.
     """
     prev, cur = 0, 1
-    for k in ks:
-        prev, cur = cur, k * cur - prev
+    for k, count in runs:
+        if k == 2:
+            prev, cur = count * cur - (count - 1) * prev, (count + 1) * cur - count * prev
+        else:
+            for _ in range(count):
+                prev, cur = cur, k * cur - prev
     return cur
 
 

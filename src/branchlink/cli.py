@@ -69,8 +69,12 @@ def parse_generators(text: str) -> tuple[int, ...]:
         raise InvalidInput(f"generators must be integers: {exc}") from exc
 
 
-def build_report(generators, minimize_pass: bool = False) -> dict:
-    """Full analysis report; every dual-route check runs on the way."""
+def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict:
+    """Full analysis report; every dual-route check runs on the way.
+
+    With dot_path, also writes the plumbing graph the report was built from
+    (its minimal model with minimize_pass) as DOT to that file.
+    """
     cd = derive_from_generators(generators)
     qr = compute_qresolution(cd)
     link = classify_link(cd)
@@ -157,8 +161,10 @@ def build_report(generators, minimize_pass: bool = False) -> dict:
         strict_self_intersection(qr, k) for k in range(1, g)
     ]
 
+    drawn = graph
     if minimize_pass:
         reduced, contracted = pl.minimize(graph)
+        drawn = reduced
         report["minimal_model"] = {
             "contracted": contracted,
             "vertex_count": reduced.n,
@@ -196,6 +202,9 @@ def build_report(generators, minimize_pass: bool = False) -> dict:
                 for e in semi.entries
             ],
         }
+    if dot_path:
+        with open(dot_path, "w") as fh:
+            fh.write(pl.to_dot(drawn))
     return report
 
 
@@ -244,14 +253,7 @@ def _print_text_report(report: dict, out) -> None:
 
 def cmd_analyze(args) -> int:
     generators = parse_generators(args.generators)
-    report = build_report(generators, minimize_pass=args.minimize)
-    if args.dot:
-        cd = derive_from_generators(generators)
-        graph = pl.assemble_full_resolution(compute_qresolution(cd))
-        if args.minimize:
-            graph, _ = pl.minimize(graph)
-        with open(args.dot, "w") as fh:
-            fh.write(pl.to_dot(graph))
+    report = build_report(generators, minimize_pass=args.minimize, dot_path=args.dot)
     if args.json:
         json.dump(_enc(report), sys.stdout, indent=2)
         print()
@@ -364,40 +366,44 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="PATH", help="write the plumbing graph as DOT")
     p.add_argument("--minimize", action="store_true", help="apply the contraction pass")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("random", help="emit random valid generator lists")
     p.add_argument("--g", type=int, default=3)
     p.add_argument("--max-n", type=int, default=4, dest="max_n")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("bp", help="classify a Brieskorn-Pham surface link")
     p.add_argument("a1", type=int)
     p.add_argument("a2", type=int)
     p.add_argument("a3", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bp)
 
     p = sub.add_parser("splice", help="splice diagram and equations only")
     p.add_argument("generators")
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="PATH")
-    p.set_defaults(func=cmd_splice)
 
     p = sub.add_parser("graph", help="plumbing graph as DOT")
     p.add_argument("generators")
     p.add_argument("--dot", metavar="PATH", help="write to a file instead of stdout")
     p.add_argument("--minimize", action="store_true")
-    p.set_defaults(func=cmd_graph)
     return parser
 
 
+_parser = None  # built by the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
+    args = _parser.parse_args(argv)
+    # the handler is looked up by name on every call, so a wrapper or patch
+    # put over cli.cmd_<command> after the parser was built still applies
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except NotAPlaneSemigroup as exc:
         print(f"invalid semigroup: {exc}", file=sys.stderr)
         return 2

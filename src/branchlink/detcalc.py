@@ -138,15 +138,28 @@ def _qr_r_sequence(qr: QResolutionData) -> RSequence:
     return r_sequence(a, p, d)
 
 
+_CLOSED_FORM = "_det_closed_form"  # where det_closed_form keeps its value on qr
+
+
 def det_closed_form(qr: QResolutionData) -> Fraction:
     """det of the intersection matrix by the R-product formula (g >= 3).
 
     Also evaluates the explicit quotient n_g prod N_k^{r_{k-1}-r_k} /
     (N_1^{r_1} d prod d_{k(k+1)}^{r_k}); ArithmeticError if the two differ.
+    Evaluated on the first call and kept on the qr instance.
     """
     g = qr.g
     if g < 3:
         raise RequiresG3("closed-form determinant needs g >= 3")
+    det = qr.__dict__.get(_CLOSED_FORM)
+    if det is None:
+        det = _det_closed_form(qr)
+        qr.__dict__[_CLOSED_FORM] = det  # frozen: bypass __setattr__
+    return det
+
+
+def _det_closed_form(qr: QResolutionData) -> Fraction:
+    g = qr.g
     R = _qr_r_sequence(qr)
     sign = (-1) ** sum(qr.r[1:])
     det = sign * R[g - 1]
@@ -222,8 +235,12 @@ def det_S(cd: CharacteristicData, qr: QResolutionData | None = None) -> int:
         if exp1 < 0 or exp2 < 0:
             raise ArithmeticError(f"negative exponent at level {k} of det(S)")
         product *= dk ** exp1 * (qr.N[k] // lcm_from_k) ** exp2
+    # the value det_closed_form kept on qr, if a caller already asked for it
+    closed = qr.__dict__.get(_CLOSED_FORM)
+    if closed is None:
+        closed = det_closed_form(qr)
     # census_order_product already includes the order at P
-    other = abs(det_closed_form(qr)) * census_order_product(qr)
+    other = abs(closed) * census_order_product(qr)
     if other != product:
         raise ArithmeticError("det(S) routes disagree")
     return product

@@ -108,10 +108,11 @@ def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:
     """Expand the census chains into the full decorated dual graph.
 
     Chain orientation follows the quotient-module convention: at each point
-    the curve sitting on coordinate slot 1 meets the kappas[-1] end of the
-    chain, the slot-2 curve meets kappas[0].  Integral strict-transform
+    the curve sitting on coordinate slot 1 meets the last vertex of the
+    chain, the slot-2 curve meets the first.  Integral strict-transform
     self-intersections are a consequence of that convention being the right
-    one; a fractional value raises NonIntegralSelfIntersection.
+    one; a fractional value raises NonIntegralSelfIntersection.  This is the
+    only layer that expands the run-length chains, one vertex per term.
     """
     g = qr.g
     vertices: list[Vertex] = []
@@ -134,11 +135,11 @@ def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:
         )
 
     def add_chain(chain, label, head_vid=None, tail_vid=None) -> list[int]:
-        """Vertices of one bamboo, kappas order; link the given ends."""
-        vids = [
-            add_vertex(0, -kappa, f"{label}.{idx + 1}")
-            for idx, kappa in enumerate(chain.kappas)
-        ]
+        """Vertices of one bamboo, run by run in chain order; link the given ends."""
+        vids = []
+        for kappa, count in chain.runs:
+            for _ in range(count):
+                vids.append(add_vertex(0, -kappa, f"{label}.{len(vids) + 1}"))
         for u, v in zip(vids, vids[1:]):
             edges.append((u, v))
         if vids:
@@ -211,7 +212,7 @@ def _locate_arrow(qr, last_strict_vid, p_chain_vids) -> tuple[tuple[int, int], .
         raise ArithmeticError("fan walk disagrees with chain")
     delta = cd.n[g] * cd.beta[g] - cd.n[g - 1] * cd.beta[g - 1]
     hits = lat.curve_boundary_intersections(exp_second=cd.n[g], exp_first=delta)
-    r = len(p_pt.chain.kappas)
+    r = len(p_pt.chain)
     arrow = []
     for idx, mult in hits:
         if idx == 0:

@@ -7,6 +7,10 @@ singular points with their Hirzebruch-Jung data and resolution chains,
 component genera, and the rational self-intersection numbers of the
 exceptional curves.  All quantities are exact; several of them are computed
 along independent routes and checked against each other on every run.
+Each census point carries its resolution chain run-length encoded
+(``quotient.BambooChain``), so the whole computation does O(number of runs)
+work per point and never expands a chain; only the assembly of the full
+plumbing graph does.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ class CensusPoint:
     curves lists the incident exceptional levels with their coordinate slot
     in the local type: slot 1 means the curve is cut out by the first local
     coordinate, slot 2 by the second.  Orientation of `chain` follows
-    BambooChain: the slot-2 curve meets kappas[0], the slot-1 curve meets
-    kappas[-1].
+    BambooChain: the slot-2 curve meets its first vertex, the slot-1 curve
+    its last.
     """
 
     kind: str
@@ -77,10 +81,10 @@ class CensusPoint:
         raise KeyError(f"level {k} does not pass through this point")
 
     def chain_end_for_level(self, k: int) -> int:
-        """Index into chain.kappas of the end meeting the level-k curve."""
+        """Index of the chain vertex (in chain.kappas order) meeting the level-k curve."""
         for level, slot in self.curves:
             if level == k:
-                return 0 if slot == 2 else len(self.chain.kappas) - 1
+                return 0 if slot == 2 else len(self.chain) - 1
         raise KeyError(f"level {k} does not pass through this point")
 
 

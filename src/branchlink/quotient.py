@@ -1,11 +1,16 @@
 """Abelian quotient surface singularities and their resolution chains.
 
 Cyclic types (d; a, b), two-row types, Hirzebruch-Jung data and the bamboo
-chains coming from continued fractions.  A small planar-lattice toolkit at
-the end gives an independent toric route to the same chains and computes how
-a binomial curve germ meets the chain after resolving; the main pipeline
-uses it only at the last singular point, the tests use it as an oracle
-everywhere.
+chains coming from continued fractions.  A chain is stored run-length
+encoded, as (kappa, count) runs: a type d/q needs O(number of runs) steps
+and memory, however long the chain (a run of 2s can be 10^5 vertices long
+while the whole chain has a dozen runs).  Only the assembly of the full
+plumbing graph expands the runs into vertices.  A small planar-lattice
+toolkit at the end gives an independent toric route to the same chains and
+computes how a binomial curve germ meets the chain after resolving; the main
+pipeline uses it only at the last singular point, the tests use it as an
+oracle everywhere.  Every internal check raises ArithmeticError, so it also
+runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -74,29 +79,47 @@ class HJType:
 class BambooChain:
     """Self-intersection magnitudes (all >= 2) of the resolution of d/q.
 
-    kappas is the continued-fraction expansion of d/q read leading term
-    first.  The kappas[0] end of the chain meets the strict transform of the
-    weight-q axis {x2 = 0}; the kappas[-1] end meets the weight-1 axis
-    {x1 = 0}.  Dropping kappas[0] leaves a chain of determinant q, dropping
-    kappas[-1] leaves q'.
+    The chain is the continued-fraction expansion of d/q read leading term
+    first, stored as runs ((kappa, count), ...) with adjacent kappas
+    distinct and every count >= 1.  The first end of the chain meets the
+    strict transform of the weight-q axis {x2 = 0}; the last end meets the
+    weight-1 axis {x1 = 0}.  Dropping the first vertex leaves a chain of
+    determinant q, dropping the last leaves q'.
     """
 
-    kappas: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
+
+    @property
+    def kappas(self) -> tuple[int, ...]:
+        """The expanded chain, one term per vertex (built on every access)."""
+        return tuple(k for k, count in self.runs for _ in range(count))
 
     def __len__(self) -> int:
-        return len(self.kappas)
+        return sum(count for _, count in self.runs)
 
     @property
     def determinant(self) -> int:
-        return continuant(self.kappas)
+        return continuant(self.runs)
 
     @property
     def det_without_first(self) -> int:
-        return continuant(self.kappas[1:])
+        return continuant(_drop_end(self.runs, 0))
 
     @property
     def det_without_last(self) -> int:
-        return continuant(self.kappas[:-1])
+        return continuant(_drop_end(self.runs, -1))
+
+
+def _drop_end(runs, end: int):
+    """The runs of a chain without its first (end = 0) or last (end = -1) vertex."""
+    runs = list(runs)
+    if runs:
+        kappa, count = runs[end]
+        if count == 1:
+            del runs[end]
+        else:
+            runs[end] = (kappa, count - 1)
+    return runs
 
 
 def normalize_cyclic(t: CyclicType) -> CyclicType:
@@ -124,7 +147,8 @@ def normalize_cyclic(t: CyclicType) -> CyclicType:
     if d2 == 1:
         return CyclicType(1, 0, 0)
     out = CyclicType(d2, (a // da) % d2, (b // db) % d2)
-    assert out.is_normalized
+    if not out.is_normalized:
+        raise ArithmeticError(f"normalizing {t} gave {out}, which is not normalized")
     return out
 
 
@@ -193,7 +217,8 @@ def reduce_two_row(t: TwoRowType) -> CyclicType:
         shift = (beta % mod - beta) // mod
         beta += shift * mod
         alpha -= shift * (a3 // h)
-    assert alpha * a1 + beta * a3 == h
+    if alpha * a1 + beta * a3 != h:
+        raise ArithmeticError(f"Bezout coefficients of ({a1}, {a3}) are wrong")
     new_a2 = (alpha * a2 + beta * a4) % D
     new_a4 = (a1 * a4 - a2 * a3) // h % D
     g4 = math.gcd(D, new_a4)
@@ -204,7 +229,8 @@ def hj_continued_fraction(d: int, q: int) -> BambooChain:
     """Chain of d/q: the expansion d/q = k_1 - 1/(k_2 - 1/(...)), k_i >= 2.
 
     Requires gcd(d, q) = 1 and 0 < q < d, or (d, q) = (1, 0) for the empty
-    chain of a smooth point.
+    chain of a smooth point.  Takes O(number of runs) steps, which is
+    O(log d): see ``_hj_runs``.
     """
     if d < 1:
         raise BadInput(f"d must be positive, got {d}")
@@ -214,14 +240,36 @@ def hj_continued_fraction(d: int, q: int) -> BambooChain:
         return BambooChain(())
     if not 0 < q < d or math.gcd(d, q) != 1:
         raise BadInput(f"need 0 < q < d with gcd(d, q) = 1, got ({d}, {q})")
-    ks = []
+    runs = _hj_runs(d, q)
+    if any(k < 2 or count < 1 for k, count in runs) or any(
+        a[0] == b[0] for a, b in zip(runs, runs[1:])
+    ):
+        raise ArithmeticError(f"malformed chain runs {runs} for {d}/{q}")
+    return BambooChain(runs)
+
+
+def _hj_runs(d: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Runs of the expansion of d/q, one step per run of 2s.
+
+    A step with k = ceil(d/q) maps (d, q) to (q, k*q - d).  Along a run of
+    2s (q >= s) the difference s = d - q does not change, so the run has
+    length c = q // s and ends at (d - c*s, q - c*s); every other step is
+    taken singly and merged into the previous run if its kappa repeats.
+    """
+    runs: list[list[int]] = []
     while q:
-        k = -(-d // q)
-        ks.append(k)
-        d, q = q, k * q - d
-    chain = BambooChain(tuple(ks))
-    assert all(k >= 2 for k in chain.kappas)
-    return chain
+        s = d - q
+        if q >= s:
+            k, count = 2, q // s
+            d, q = d - count * s, q - count * s
+        else:
+            k, count = -(-d // q), 1
+            d, q = q, k * q - d
+        if runs and runs[-1][0] == k:
+            runs[-1][1] += count
+        else:
+            runs.append([k, count])
+    return tuple((k, count) for k, count in runs)
 
 
 def chain_for(hj: HJType) -> BambooChain:
@@ -247,11 +295,13 @@ def _hnf2(vectors) -> tuple[tuple[int, int], tuple[int, int]]:
             pivot = [pivot[0] - qq * v[0], pivot[1] - qq * v[1]]
             pivot, v = v, pivot
         rest.append(v)
-    assert pivot is not None and pivot[0] != 0, "degenerate lattice"
+    if pivot is None or pivot[0] == 0:
+        raise ArithmeticError("degenerate lattice")
     g2 = 0
     for v in rest:
         g2 = math.gcd(g2, v[1])
-    assert g2 != 0, "degenerate lattice"
+    if g2 == 0:
+        raise ArithmeticError("degenerate lattice")
     if pivot[0] < 0:
         pivot = [-pivot[0], -pivot[1]]
     pivot[1] %= g2
@@ -318,7 +368,8 @@ class PlanarLattice:
         G = math.gcd(int(cx * L), int(cy * L))
         t = Fraction(L, G)
         p = (Fraction(x) * t, Fraction(y) * t)
-        assert self.contains(p)
+        if not self.contains(p):
+            raise ArithmeticError(f"primitive point {p} is not in the lattice")
         return p
 
     def fan_boundary(self) -> list[Point]:
@@ -332,7 +383,8 @@ class PlanarLattice:
         v0 = self.primitive_on_ray(1, 0)
         vend = self.primitive_on_ray(0, 1)
         d = _cross(v0, vend) / self.covolume
-        assert d.denominator == 1 and d > 0
+        if d.denominator != 1 or d <= 0:
+            raise ArithmeticError(f"fan order {d} is not a positive integer")
         d = int(d)
         if d == 1:
             return [v0, vend]
@@ -345,7 +397,8 @@ class PlanarLattice:
             if self.contains(cand):
                 v1 = cand
                 break
-        assert v1 is not None, "no basis completion found on the hull"
+        if v1 is None:
+            raise ArithmeticError("no basis completion found on the hull")
         pts = [v0, v1]
         while True:
             d_prev = _cross(pts[-2], vend)
@@ -359,19 +412,21 @@ class PlanarLattice:
             )
             pts.append(nxt)
             if _cross(nxt, vend) == 0:
-                assert nxt == vend, "fan walk did not land on the second axis"
+                if nxt != vend:
+                    raise ArithmeticError("fan walk did not land on the second axis")
                 break
         return pts
 
     def chain_kappas_from_first_axis(self) -> tuple[int, ...]:
-        """Chain weights read from the {x1 = 0} end (reverse of BambooChain)."""
+        """Chain weights read from the {x1 = 0} end (reverse of BambooChain.kappas)."""
         pts = self.fan_boundary()
         ks = []
         for i in range(1, len(pts) - 1):
             prev, cur, nxt = pts[i - 1], pts[i], pts[i + 1]
             coord = 0 if cur[0] else 1
             k = (prev[coord] + nxt[coord]) / cur[coord]
-            assert k.denominator == 1 and k >= 2
+            if k.denominator != 1 or k < 2:
+                raise ArithmeticError(f"fan weight {k} is not an integer >= 2")
             ks.append(int(k))
         return tuple(ks)
 
@@ -392,7 +447,8 @@ class PlanarLattice:
                 det = _cross(pts[i], pts[i + 1])
                 alpha = _cross(w, pts[i + 1]) / det
                 beta = _cross(pts[i], w) / det
-                assert alpha.denominator == 1 and beta.denominator == 1
+                if alpha.denominator != 1 or beta.denominator != 1:
+                    raise ArithmeticError("curve meets the boundary in a non-integral point")
                 if alpha:
                     hits.append((i, int(alpha)))
                 if beta:

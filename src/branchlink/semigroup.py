@@ -6,6 +6,10 @@ candidate generating set, derives the characteristic integers attached to it
 (the gcd chain e_i, the exponents n_i, the rewriting coefficients b_ij) and
 produces the binomial equations of the associated monomial space curve.
 Every downstream computation reads its arithmetic from here.
+
+Membership and the bounded representations behind the b_ij are solved
+residue by residue down the gcd chain, in O(g) steps per target rather than
+by enumerating the box of prod n_j coefficient vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
 
 
 class NotAPlaneSemigroup(ValueError):
@@ -67,21 +70,38 @@ class CharacteristicData:
         return math.lcm(*self.n[k + 1:]) if k < self.g else 1
 
 
-def _bounded_representations(beta, n, target: int, upto: int, limit: int = 2):
-    """Representations target = sum_{j<upto} c_j * beta_j with 0 <= c_j < n_j.
+def _bounded_representation(beta, n, target: int, upto: int):
+    """The representation target = sum_{j<upto} c_j * beta_j with 0 <= c_j < n_j.
 
-    c_0 is only required to be nonnegative.  Stops after `limit` hits, which
-    is enough both for membership tests and for the uniqueness assertion.
+    c_0 is only required to be nonnegative, and n_j must be e_{j-1}/e_j, the
+    ratios of the gcd chain e_0 = beta_0, e_j = gcd(e_{j-1}, beta_j).
+    Returns the coefficient tuple (c_0, ..., c_{upto-1}), or None when there
+    is no such representation; there is never more than one.
+
+    Walks down the gcd chain from j = upto - 1 in O(upto) steps: every
+    beta_i with i < j is a multiple of e_{j-1}, so modulo e_{j-1} only
+    c_j * beta_j is left of the open terms, and c_j solves
+    c_j * (beta_j/e_j) = rem/e_j mod n_j.  Since
+    gcd(beta_j/e_j, n_j) = gcd(beta_j, e_{j-1})/e_j = 1, beta_j/e_j is a
+    unit mod n_j, so c_j is forced.
     """
-    sols = []
-    boxes = [range(n[j]) for j in range(1, upto)]
-    for cs in product(*boxes):
-        rem = target - sum(c * beta[j] for j, c in enumerate(cs, start=1))
-        if rem >= 0 and rem % beta[0] == 0:
-            sols.append((rem // beta[0],) + cs)
-            if len(sols) >= limit:
-                break
-    return sols
+    e = [beta[0]]
+    for j in range(1, upto):
+        e.append(e[-1] // n[j])
+    rem = target
+    coeffs = []
+    for j in range(upto - 1, 0, -1):
+        if rem % e[j]:
+            return None
+        c = rem // e[j] * pow(beta[j] // e[j], -1, n[j]) % n[j]
+        rem -= c * beta[j]
+        if rem < 0:
+            return None
+        coeffs.append(c)
+    if rem % beta[0]:
+        return None
+    coeffs.append(rem // beta[0])
+    return tuple(reversed(coeffs))
 
 
 def compute_b_coefficients(data: CharacteristicData, i: int) -> tuple[int, ...]:
@@ -92,17 +112,14 @@ def compute_b_coefficients(data: CharacteristicData, i: int) -> tuple[int, ...]:
 
 
 def _b_row(beta, n, i: int) -> tuple[int, ...]:
-    sols = _bounded_representations(beta, n, n[i] * beta[i], i)
-    if not sols:
+    row = _bounded_representation(beta, n, n[i] * beta[i], i)
+    if row is None:
         raise NoRepresentation(
             f"n_{i}*beta_{i} = {n[i] * beta[i]} is not representable over "
             f"{beta[:i]} with the canonical bounds",
             witness=(i, n[i] * beta[i]),
         )
-    if len(sols) > 1:
-        # unreachable on valid input: the bounded representation is unique
-        raise RuntimeError(f"non-unique b-representation for i={i}: {sols}")
-    return sols[0]
+    return row
 
 
 def derive_from_generators(beta) -> CharacteristicData:
@@ -128,7 +145,7 @@ def derive_from_generators(beta) -> CharacteristicData:
     n_tail = []
     for i in range(1, g + 1):
         n_partial = (0,) + tuple(n_tail) + (2,) * (g + 1 - i)
-        if _bounded_representations(beta, n_partial, beta[i], i, limit=1):
+        if _bounded_representation(beta, n_partial, beta[i], i) is not None:
             raise NotMinimal(
                 f"beta_{i} = {beta[i]} lies in the semigroup of {beta[:i]}",
                 witness=(i, beta[i]),
@@ -166,7 +183,8 @@ def derive_from_generators(beta) -> CharacteristicData:
     n = (0,) + tuple(n_tail)  # placeholder n_0, fixed below
     rows = tuple(_b_row(beta, n, i) for i in range(1, g + 1))
     n0 = rows[0][0]
-    assert n0 * beta[0] == n_tail[0] * beta[1], "b_10 inconsistent with n_1*beta_1/beta_0"
+    if n0 * beta[0] != n_tail[0] * beta[1]:
+        raise ArithmeticError("b_10 inconsistent with n_1*beta_1/beta_0")
     if math.gcd(n0, n_tail[0]) != 1:
         raise NotAPlaneSemigroup(
             f"gcd(n_0, n_1) = {math.gcd(n0, n_tail[0])} != 1", witness=(n0, n_tail[0])

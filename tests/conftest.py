@@ -6,6 +6,7 @@ import heapq
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from branchlink.semigroup import derive_from_generators
 
@@ -78,6 +79,33 @@ def r_direct(a, p, d, l: int) -> Fraction:
                 term *= Fraction(a[k])
         total += term
     return total
+
+
+def hj_kappas_oracle(d: int, q: int) -> tuple[int, ...]:
+    """Hirzebruch-Jung expansion of d/q one term at a time: k = ceil(d/q),
+    then (d, q) <- (q, k*q - d) until q = 0.  The oracle for the run-length
+    chains."""
+    ks = []
+    while q:
+        k = -(-d // q)
+        ks.append(k)
+        d, q = q, k * q - d
+    return tuple(ks)
+
+
+def box_representations(beta, n, target: int, upto: int, limit: int = 2):
+    """Representations target = sum_{j<upto} c_j * beta_j with 0 <= c_j < n_j
+    and c_0 >= 0, by enumerating the box of prod n_j coefficient vectors in
+    lexicographic order; stops after ``limit`` hits.  The oracle for the
+    residue-by-residue representation down the gcd chain."""
+    sols = []
+    for cs in product(*(range(n[j]) for j in range(1, upto))):
+        rem = target - sum(c * beta[j] for j, c in enumerate(cs, start=1))
+        if rem >= 0 and rem % beta[0] == 0:
+            sols.append((rem // beta[0],) + cs)
+            if len(sols) >= limit:
+                break
+    return sols
 
 
 def fraction_solve(rows, rhs=None):

@@ -218,3 +218,66 @@ def test_zhs_report_builds_one_tree_kernel(monkeypatch):
     graph = len(report["plumbing"]["vertices"])
     # one kernel for the partial-resolution matrix, one for the plumbing graph
     assert sorted(built) == sorted([sum(report["qresolution"]["r"][1:]), graph])
+
+
+def test_det_closed_form_is_evaluated_once_per_report(monkeypatch):
+    from branchlink import cli, detcalc
+
+    calls = []
+    real = detcalc.det_closed_form
+
+    def counting(qr):
+        calls.append(qr)
+        return real(qr)
+
+    # patched where it is defined and where cli imported it by name
+    monkeypatch.setattr(detcalc, "det_closed_form", counting)
+    monkeypatch.setattr(cli, "det_closed_form", counting)
+    report = build_report((8, 12, 26, 53))
+    assert len(calls) == 1
+    assert report["determinants"]["detA_closed_form"] == report["determinants"]["detA"]
+
+
+def test_analyze_dot_assembles_once_and_minimizes_once(monkeypatch, tmp_path, capsys):
+    from branchlink import cli
+
+    counts = {"assemble": 0, "minimize": 0}
+    real_assemble, real_minimize = cli.pl.assemble_full_resolution, cli.pl.minimize
+
+    def assemble(qr):
+        counts["assemble"] += 1
+        return real_assemble(qr)
+
+    def minimize(graph):
+        counts["minimize"] += 1
+        return real_minimize(graph)
+
+    monkeypatch.setattr(cli.pl, "assemble_full_resolution", assemble)
+    monkeypatch.setattr(cli.pl, "minimize", minimize)
+    out = tmp_path / "graph.dot"
+    assert main(["analyze", "8,12,26,53", "--dot", str(out), "--minimize", "--json"]) == 0
+    assert counts == {"assemble": 1, "minimize": 1}
+    assert "minimal_model" in json.loads(capsys.readouterr().out)
+    qr = cli.compute_qresolution(derive_from_generators((8, 12, 26, 53)))
+    assert out.read_text() == cli.pl.to_dot(real_minimize(real_assemble(qr))[0])
+
+
+def test_parser_is_built_once_and_handlers_are_found_at_call_time(monkeypatch, capsys):
+    from branchlink import cli
+
+    built = []
+    real_make_parser = cli.make_parser
+
+    def counting_make_parser():
+        built.append(1)
+        return real_make_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "make_parser", counting_make_parser)
+    assert main(["bp", "2", "3", "5"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_bp", lambda args: seen.append(args.a3) or 0)
+    assert main(["bp", "2", "3", "7"]) == 0
+    assert seen == [7]
+    assert len(built) == 1
+    assert "ZHS" in capsys.readouterr().out

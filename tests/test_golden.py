@@ -7,6 +7,10 @@ the rendered numbers, their order or their formatting shows up here.  The
 corpus is the two PAPER.md examples and eight ``random_plane_semigroup``
 draws with g = 2..6, through ``analyze --json`` with and without
 ``--minimize``, plus ``splice --json`` on the integral homology spheres.
+``golden_dot_digests.json`` holds the SHA-256 of the file that
+``analyze --dot PATH`` writes for the two PAPER.md examples, with and
+without ``--minimize``, recorded while ``--dot`` still assembled the graph
+a second time.
 """
 
 import contextlib
@@ -20,6 +24,7 @@ import pytest
 from branchlink.cli import main
 
 GOLDEN = json.loads((pathlib.Path(__file__).with_name("golden_digests.json")).read_text())
+GOLDEN_DOT = json.loads((pathlib.Path(__file__).with_name("golden_dot_digests.json")).read_text())
 
 
 def cli_digest(argv) -> str:
@@ -32,3 +37,12 @@ def cli_digest(argv) -> str:
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
 def test_cli_output_matches_golden_digest(case):
     assert cli_digest(case["argv"]) == case["sha256"]
+
+
+@pytest.mark.parametrize("case", GOLDEN_DOT, ids=lambda case: " ".join(case["argv"]))
+def test_dot_file_matches_golden_digest(case, tmp_path):
+    path = tmp_path / "graph.dot"
+    argv = [str(path) if arg == "PATH" else arg for arg in case["argv"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == case["sha256"]

@@ -159,3 +159,27 @@ def test_rupture_count_lower_bound_g_minus_1():
         beta = random_plane_semigroup(g, 4, seed=f"31:{trial}")
         qr = qres_of(beta)
         assert rupture_census(qr).rupture_count >= g - 1
+
+
+def test_partial_resolution_half_never_expands_a_chain(monkeypatch):
+    # g = 10, dim A = 511 and about 3.9e5 plumbing vertices once expanded
+    from branchlink import detcalc
+    from branchlink.quotient import BambooChain
+
+    def refuse(self):
+        raise AssertionError("chain expanded")
+
+    monkeypatch.setattr(BambooChain, "kappas", property(refuse))
+    gens = (1024, 2560, 5888, 12160, 24512, 49248, 98544, 197112, 394228, 788466, 1576937)
+    cd = derive_from_generators(gens)
+    qr = compute_qresolution(cd)
+    assert sum(len(pt.chain) for pt in qr.census) > 100_000
+    matrix = detcalc.build_intersection_matrix(qr)
+    assert matrix.n == 511
+    assert detcalc.det_exact(matrix) == detcalc.det_closed_form(qr)
+    assert detcalc.det_S(cd, qr) > 0
+    rupture_census(qr)
+    for k in range(1, cd.g):
+        strict_self_intersection(qr, k)
+        for pt in qr.points_on_level(k):
+            assert pt.chain_end_for_level(k) in (0, len(pt.chain) - 1)

@@ -18,7 +18,7 @@ from branchlink.quotient import (
     reduce_two_row,
     to_hj,
 )
-from conftest import naive_det
+from conftest import hj_kappas_oracle, naive_det
 
 
 def chain_matrix(kappas):
@@ -152,6 +152,71 @@ def test_chain_determinant_identities_sample():
             assert chain.det_without_first == q
             assert chain.det_without_last == qprime
             assert all(k >= 2 for k in chain.kappas)
+
+
+def runs_of(kappas):
+    """Run-length form of an expanded chain."""
+    runs = []
+    for k in kappas:
+        if runs and runs[-1][0] == k:
+            runs[-1][1] += 1
+        else:
+            runs.append([k, 1])
+    return tuple((k, count) for k, count in runs)
+
+
+def assert_runs_well_formed(chain):
+    assert all(k >= 2 and count >= 1 for k, count in chain.runs)
+    assert all(a[0] != b[0] for a, b in zip(chain.runs, chain.runs[1:]))
+
+
+def test_runs_match_term_by_term_expansion_below_400():
+    checked = 0
+    for d in range(2, 400):
+        for q in range(1, d):
+            if math.gcd(d, q) != 1:
+                continue
+            chain = hj_continued_fraction(d, q)
+            expected = hj_kappas_oracle(d, q)
+            assert chain.runs == runs_of(expected)
+            assert chain.kappas == expected
+            assert len(chain) == len(expected)
+            assert_runs_well_formed(chain)
+            checked += 1
+    assert checked == 48517
+
+
+def test_runs_match_term_by_term_expansion_on_large_seeded_pairs():
+    rng = random.Random(2026)
+    checked = 0
+    while checked < 2000:
+        d = rng.randint(2, 10 ** rng.randint(1, 15))
+        q = rng.randint(1, d - 1)
+        if math.gcd(d, q) != 1:
+            continue
+        chain = hj_continued_fraction(d, q)
+        expected = hj_kappas_oracle(d, q)
+        assert chain.runs == runs_of(expected)
+        assert len(chain) == len(expected)
+        assert_runs_well_formed(chain)
+        assert chain.determinant == d
+        assert chain.det_without_first == q
+        assert chain.det_without_last == pow(q, -1, d)
+        checked += 1
+
+
+def test_long_run_of_twos_is_never_expanded(monkeypatch):
+    def refuse(self):
+        raise AssertionError("chain expanded")
+
+    monkeypatch.setattr(BambooChain, "kappas", property(refuse))
+    d = 10**12 + 1
+    chain = hj_continued_fraction(d, 10**12)
+    assert chain.runs == ((2, 10**12),)
+    assert len(chain) == 10**12
+    assert chain.determinant == d
+    assert chain.det_without_first == 10**12
+    assert chain.det_without_last == pow(10**12, -1, d) == 10**12
 
 
 def test_chain_determinant_matches_matrix_determinant():

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from branchlink import semigroup
 from branchlink.semigroup import (
     CharacteristicData,
     NotAPlaneSemigroup,
@@ -11,6 +13,7 @@ from branchlink.semigroup import (
     monomial_curve_equations,
     random_plane_semigroup,
 )
+from conftest import box_representations
 
 
 def test_worked_example_characteristic_data():
@@ -130,3 +133,83 @@ def test_random_semigroups_always_validate():
             continue
         assert cd.beta == tuple(beta)
     assert failures == 0
+
+
+def gcd_chain_ratios(beta):
+    """(0, n_1, ..., n_m) for the longest prefix whose gcd chain strictly drops."""
+    e, n = beta[0], [0]
+    for b in beta[1:]:
+        nxt = math.gcd(e, b)
+        if nxt == e:
+            break
+        n.append(e // nxt)
+        e = nxt
+    return n
+
+
+def perturbed(rng, beta):
+    """A seeded near-miss of a valid generator list."""
+    beta = list(beta)
+    i = rng.randrange(len(beta))
+    kind = rng.randrange(5)
+    if kind == 0:
+        beta[i] += rng.choice((-2, -1, 1, 2))
+    elif kind == 1:
+        beta[i] += beta[0] * rng.randint(1, 3)
+    elif kind == 2 and i >= 2:
+        beta[i] = beta[rng.randrange(i)] + beta[rng.randrange(i)]  # in the semigroup
+    elif kind == 3:
+        beta[i] *= rng.choice((2, 3))
+    else:
+        beta.insert(i, beta[i] + 1)
+    return tuple(sorted(set(beta)))  # keep it increasing, so later checks are reached
+
+
+def test_bounded_representation_matches_the_box():
+    rng = random.Random(6)
+    found = missing = 0
+    for t in range(400):
+        beta = random_plane_semigroup(2 + t % 5, rng.randint(2, 4), seed=f"box:{t}")
+        if t % 2:
+            beta = perturbed(rng, beta)
+        n = gcd_chain_ratios(beta)
+        upto = len(n)
+        targets = [beta[i] for i in range(1, upto)]
+        targets += [n[i] * beta[i] for i in range(1, upto)]
+        targets += [rng.randrange(4 * beta[upto - 1] + 2) for _ in range(5)]
+        for target in targets:
+            rep = semigroup._bounded_representation(beta, n, target, upto)
+            assert box_representations(beta, n, target, upto) == ([] if rep is None else [rep])
+            found += rep is not None
+            missing += rep is None
+    assert found > 1000 and missing > 500
+
+
+def outcome(beta):
+    try:
+        cd = semigroup.derive_from_generators(beta)
+    except NotAPlaneSemigroup as exc:
+        return type(exc), str(exc), exc.witness
+    return cd
+
+
+def test_derive_from_generators_matches_the_box(monkeypatch):
+    rng = random.Random(7)
+    inputs = []
+    for t in range(300):
+        beta = random_plane_semigroup(2 + t % 5, rng.randint(2, 4), seed=f"derive:{t}")
+        inputs.append(beta if t % 3 == 0 else perturbed(rng, beta))
+    fast = [outcome(beta) for beta in inputs]
+
+    def box_one(beta, n, target, upto):
+        sols = box_representations(beta, n, target, upto, limit=2)
+        assert len(sols) <= 1
+        return sols[0] if sols else None
+
+    monkeypatch.setattr(semigroup, "_bounded_representation", box_one)
+    slow = [outcome(beta) for beta in inputs]
+    assert fast == slow
+    kinds = [r[0] if isinstance(r, tuple) else CharacteristicData for r in fast]
+    assert kinds.count(CharacteristicData) >= 100
+    assert kinds.count(NotMinimal) >= 10
+    assert kinds.count(NotAPlaneSemigroup) >= 50

@@ -273,6 +273,23 @@ try:
 except ArithmeticError as exc:
     print("det_S:", exc)
 detcalc.census_order_product = real_orders
+from branchlink import quotient, semigroup
+real_runs = quotient._hj_runs
+quotient._hj_runs = lambda d, q: ((3, 1), (1, 2))  # a kappa below 2
+try:
+    print("chain:", quotient.hj_continued_fraction(7, 3))
+except ArithmeticError as exc:
+    print("chain:", exc)
+quotient._hj_runs = real_runs
+real_row = semigroup._b_row
+semigroup._b_row = lambda beta, n, i: (  # a wrong b_10
+    (real_row(beta, n, i)[0] + 1,) if i == 1 else real_row(beta, n, i)
+)
+try:
+    print("semigroup:", semigroup.derive_from_generators((8, 12, 26, 53)))
+except ArithmeticError as exc:
+    print("semigroup:", exc)
+semigroup._b_row = real_row
 cli.pl.classify_topologically = lambda graph: LinkClass(LinkKind.ZHS, (), ())
 print("exit", cli.main(["analyze", "8,12,26,53"]))
 """
@@ -282,5 +299,7 @@ print("exit", cli.main(["analyze", "8,12,26,53"]))
     assert proc.returncode == 0, proc.stderr
     assert "pullback: level 1 multiplicity is not N_k" in proc.stdout
     assert "det_S: det(S) routes disagree" in proc.stdout
+    assert "chain: malformed chain runs ((3, 1), (1, 2)) for 7/3" in proc.stdout
+    assert "semigroup: b_10 inconsistent with n_1*beta_1/beta_0" in proc.stdout
     assert "exit 1" in proc.stdout
     assert proc.stderr == "internal error: classifier routes disagree\n"
