@@ -68,25 +68,12 @@ class PlumbingGraph:
     def degree(self, vid: int) -> int:
         return sum(1 for i, j in self.edges if vid in (i, j))
 
-    def component_count(self) -> int:
-        adj = self.adjacency()
-        seen = set()
-        count = 0
-        for v in adj:
-            if v in seen:
-                continue
-            count += 1
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                stack.extend(adj[u])
-        return count
-
     def is_tree(self) -> bool:
-        return len(self.edges) == self.n - 1 and self.component_count() == 1
+        """One connected component and no cycle, read from the tree kernel."""
+        try:
+            return len(self.tree_kernel().roots) == 1
+        except NotATree:
+            return False
 
     def tree_kernel(self) -> _linalg.TreeKernel:
         """The integer tree kernel of the intersection matrix (vids 0..n-1).

@@ -122,11 +122,17 @@ class QResolutionData:
         return [pt for pt in self.census if any(lv == k for lv, _ in pt.curves)]
 
 
+def _check(ok: bool, what: str) -> None:
+    """Raise ArithmeticError unless a cross-check holds; kept under python -O."""
+    if not ok:
+        raise ArithmeticError(what)
+
+
 def _genus_formula(cd: CharacteristicData, k: int) -> int:
     L = cd.lcm_tail(k)
     f1 = math.gcd(cd.n[k], L) - 1
     f2 = math.gcd(cd.beta[k] // cd.e[k], L) - 1
-    assert f1 * f2 % 2 == 0
+    _check(f1 * f2 % 2 == 0, f"odd genus numerator at level {k}")
     return f1 * f2 // 2
 
 
@@ -162,27 +168,27 @@ def compute_qresolution(cd: CharacteristicData) -> QResolutionData:
     The local type of every singular point is taken from the blow-up charts
     and pushed through the quotient-type reduction; closed-form orders (the
     three expressions for d_k, the edge order formula, the order at P) are
-    asserted against the constructive route on every call.
+    checked against the constructive route on every call.
     """
     g = cd.g
     beta, e, n = cd.beta, cd.e, cd.n
     L = [cd.lcm_tail(k) for k in range(g + 1)]
 
     r = tuple(e[k] // L[k] for k in range(g))
-    assert r[g - 1] == 1
+    _check(r[g - 1] == 1, "r_(g-1) is not 1")
     M = tuple(math.lcm(beta[k] // e[k], L[k]) for k in range(g))
     N = (0,) + tuple(math.lcm(beta[k] // e[k], n[k], L[k]) for k in range(1, g))
     p = (0,) + tuple(r[k] // r[k + 1] for k in range(1, g - 1))
     for k in range(1, g - 1):
-        assert r[k] % r[k + 1] == 0
+        _check(r[k] % r[k + 1] == 0, f"r_{k + 1} does not divide r_{k}")
 
     census = []
 
     # Q0 points, on the first divisor, local coordinates (x_0, x_1)
-    assert (n[0] * beta[0]) % M[0] == 0 and beta[0] % M[0] == 0
+    _check(beta[0] % M[0] == 0, "M_0 does not divide beta_0")
     D0 = n[0] * beta[0] // M[0]
     q0_total = beta[0] // M[0]
-    assert q0_total % r[1] == 0
+    _check(q0_total % r[1] == 0, "Q0 count is not a multiple of r_1")
     q0 = _census_point(
         "Q0",
         level=0,
@@ -192,16 +198,15 @@ def compute_qresolution(cd: CharacteristicData) -> QResolutionData:
         curves=((1, 2),),
     )
     d0 = N[1] // M[0]
-    assert N[1] % M[0] == 0 and q0.d == d0
+    _check(N[1] % M[0] == 0 and q0.d == d0, "Q0 order routes disagree")
     census.append(q0)
 
     # Q_k points, k = 1..g-1, local coordinates (x_0, x_k)
     d_point = [d0]
     for k in range(1, g):
         Dk = n[k] * beta[k] // M[k]
-        assert (n[k] * beta[k]) % M[k] == 0
         total = beta[k] // M[k]
-        assert beta[k] % M[k] == 0 and total % r[k] == 0
+        _check(beta[k] % M[k] == 0 and total % r[k] == 0, f"Q_{k} count not a multiple of r_{k}")
         pt = _census_point(
             "Q",
             level=k,
@@ -211,9 +216,8 @@ def compute_qresolution(cd: CharacteristicData) -> QResolutionData:
             curves=((k, 1),),
         )
         dk = N[k] // M[k]
-        assert N[k] % M[k] == 0
-        assert dk == n[k] * r[k] // r[k - 1] == n[k] // math.gcd(n[k], L[k])
-        assert pt.d == dk
+        routes = (dk, n[k] * r[k] // r[k - 1], n[k] // math.gcd(n[k], L[k]), pt.d)
+        _check(N[k] % M[k] == 0 and len(set(routes)) == 1, f"Q_{k} order routes disagree")
         d_point.append(dk)
         census.append(pt)
 
@@ -221,7 +225,8 @@ def compute_qresolution(cd: CharacteristicData) -> QResolutionData:
     d_edge = [0]
     for k in range(1, g - 1):
         delta = n[k + 1] * beta[k + 1] - n[k] * beta[k]
-        assert delta > 0 and delta % L[k] == 0 and (n[k] * beta[k]) % n[k + 1] == 0
+        ok = delta > 0 and delta % L[k] == 0 and (n[k] * beta[k]) % n[k + 1] == 0
+        _check(ok, f"edge data at level {k} out of range")
         raw = TwoRowType(
             d1=delta // L[k],
             a11=1,
@@ -240,12 +245,12 @@ def compute_qresolution(cd: CharacteristicData) -> QResolutionData:
         )
         num = r[k] * N[k] * N[k + 1] * delta
         den = n[k] * n[k + 1] * beta[k] * beta[k + 1]
-        assert num % den == 0 and pt.d == num // den
+        _check(num % den == 0 and pt.d == num // den, f"edge {k} order routes disagree")
         d_edge.append(pt.d)
         census.append(pt)
 
     # the point P on the last divisor, local coordinates (x_0, x_g)
-    assert beta[g - 1] % n[g] == 0
+    _check(beta[g - 1] % n[g] == 0, "n_g does not divide beta_(g-1)")
     p_pt = _census_point(
         "P",
         level=g - 1,
@@ -255,7 +260,7 @@ def compute_qresolution(cd: CharacteristicData) -> QResolutionData:
         curves=((g - 1, 1),),
     )
     d_last = n[g] // (math.gcd(n[g - 1], n[g]) * math.gcd(beta[g - 1] // n[g], n[g]))
-    assert p_pt.d == d_last
+    _check(p_pt.d == d_last, "order at P routes disagree")
     census.append(p_pt)
 
     genus = (0,) + tuple(_genus_formula(cd, k) for k in range(1, g))
@@ -316,7 +321,7 @@ def _check_euler_accounting(qr: QResolutionData) -> None:
         else:
             chi += qr.r[k]
         expected = qr.r[k] * (2 - 2 * qr.genus[k])
-        assert chi == expected, f"Euler characteristic mismatch at level {k}"
+        _check(chi == expected, f"Euler characteristic mismatch at level {k}")
 
 
 def strict_self_intersection(qr: QResolutionData, k: int) -> Fraction:

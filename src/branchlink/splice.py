@@ -7,12 +7,21 @@ integer tree kernel gives them all.  This module computes that diagram, the
 closed-form diagram the family is expected to produce, linking numbers, the
 semigroup condition with explicit witnesses, and the equations built from
 admissible monomials.
+
+The semigroup condition asks that every node-edge weight be a nonnegative
+combination of the linking numbers l' of the leaves beyond the edge
+(Neumann and Wahl, Geom. Topol. 9, 2005).  Witnesses come from Apery residue
+tables, the least combination in each residue class modulo the least value,
+built by the round robin of Boecker and Liptak (*A fast and simple algorithm
+for the money changing problem*, Algorithmica 48, 2007): O(k*m) per edge for
+k values of least value m, however large the weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .semigroup import CharacteristicData
 from .detcalc import classify_link
@@ -46,13 +55,7 @@ class SpliceDiagram:
     weights: dict[tuple[int, int], int]
 
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        for i, j in self.edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return out
+        return [j if i == v else i for i, j in self.edges if v in (i, j)]
 
     def weight(self, v: int, u: int) -> int:
         return self.weights[(v, u)]
@@ -100,12 +103,9 @@ def verify_en_conditions(sd: SpliceDiagram) -> None:
         ws = [sd.weight(v, u) for u in sd.neighbors(v)]
         if any(w <= 0 for w in ws):
             raise ENViolation(f"non-positive weight at node {sd.labels[v]}")
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                if math.gcd(ws[i], ws[j]) != 1:
-                    raise ENViolation(
-                        f"weights {ws[i]}, {ws[j]} at node {sd.labels[v]} share a factor"
-                    )
+        for a, b in combinations(ws, 2):
+            if math.gcd(a, b) != 1:
+                raise ENViolation(f"weights {a}, {b} at node {sd.labels[v]} share a factor")
         for u in sd.neighbors(v):
             if u in sd.leaves and sd.weight(v, u) <= 1:
                 raise ENViolation(
@@ -185,41 +185,17 @@ def expected_splice_diagram(cd: CharacteristicData) -> SpliceDiagram:
     if not classify_link(cd).is_zhs:
         raise NotZHS("link is not an integral homology sphere")
     g = cd.g
-    labels = []
-    nodes = []
-    leaves = []
-    edges = []
-    weights = {}
-
-    def new_vertex(label):
-        labels.append(label)
-        return len(labels) - 1
-
-    node_of = {}
-    for k in range(1, g):
-        node_of[k] = new_vertex(f"node{k}")
-        nodes.append(node_of[k])
-    leaf_of = {}
-    for w in range(g + 1):
-        leaf_of[w] = new_vertex(f"leaf{w}")
-        leaves.append(leaf_of[w])
-
-    def connect(v, u, weight_v):
-        edges.append((v, u))
-        weights[(v, u)] = weight_v
-
-    connect(node_of[1], leaf_of[0], cd.n[0])
-    for k in range(1, g):
-        connect(node_of[k], leaf_of[k], cd.n[k])
-    connect(node_of[g - 1], leaf_of[g], cd.n[g])
+    leaf = g - 1  # node k is vertex k - 1 and leaf w is vertex g - 1 + w
+    edges = [(0, leaf)] + [(k - 1, leaf + k) for k in range(1, g)] + [(g - 2, leaf + g)]
+    weights = {edge: cd.n[w] for w, edge in enumerate(edges)}  # edges[w] ends at leaf w
     for k in range(1, g - 1):
-        edges.append((node_of[k], node_of[k + 1]))
-        weights[(node_of[k], node_of[k + 1])] = cd.e[k]
-        weights[(node_of[k + 1], node_of[k])] = cd.beta[k + 1] // cd.e[k + 1]
+        edges.append((k - 1, k))
+        weights[(k - 1, k)] = cd.e[k]
+        weights[(k, k - 1)] = cd.beta[k + 1] // cd.e[k + 1]
     sd = SpliceDiagram(
-        labels=tuple(labels),
-        nodes=frozenset(nodes),
-        leaves=frozenset(leaves),
+        labels=tuple([f"node{k}" for k in range(1, g)] + [f"leaf{w}" for w in range(g + 1)]),
+        nodes=frozenset(range(g - 1)),
+        leaves=frozenset(range(leaf, leaf + g + 1)),
         edges=tuple(edges),
         weights=weights,
     )
@@ -276,25 +252,72 @@ class SemigroupConditionReport:
         return all(e.satisfied for e in self.entries)
 
 
+def _apery_table(values) -> list:
+    """Least combination of ``values`` in each residue class modulo their
+    least value m, None where there is none, by the round robin of Boecker
+    and Liptak: each further value a walks every cycle of m/gcd(a, m)
+    residues once from its least entry, O(len(values) * m) steps in all."""
+    m = min(values)
+    table = [0] + [None] * (m - 1)
+    for a in values:
+        d = math.gcd(a, m)
+        if d == m:  # a multiple of m adds nothing
+            continue
+        for p in range(d):
+            n = min((x for x in table[p::d] if x is not None), default=None)
+            if n is None:
+                continue
+            for _ in range(m // d - 1):
+                n += a
+                r = n % m
+                if table[r] is not None and table[r] < n:
+                    n = table[r]
+                table[r] = n
+    return table
+
+
 def _lex_min_combination(target: int, values) -> tuple[int, ...] | None:
-    """Lexicographically least nonnegative integers with sum a_i*v_i = target."""
-    n = len(values)
-    dead = set()
+    """Lexicographically least nonnegative integers with sum a_i*v_i = target.
 
-    def rec(idx, rem):
-        if idx == n:
-            return () if rem == 0 else None
-        if (idx, rem) in dead:
-            return None
-        v = values[idx]
-        for c in range(rem // v + 1):
-            tail = rec(idx + 1, rem - c * v)
-            if tail is not None:
-                return (c,) + tail
-        dead.add((idx, rem))
+    x is a combination of the suffix values[i:] iff x >= t[x mod m], where m
+    is the suffix's least value and t its Apery table, built on first use.
+    Coordinate i takes the least c whose remainder the next suffix
+    represents; c and c + m/gcd(v_i, m) leave the same residue and the
+    second a smaller remainder, so only c below that period is tried.  The
+    last coordinate is a division.  Tables that call the target a
+    combination but yield no witness raise ArithmeticError.
+    """
+    k = len(values)
+    if k == 0 or target <= 0:
+        return (0,) * k if target == 0 else None
+    tables = {}
+
+    def representable(x, i):
+        m = min(values[i:])
+        if m > x or i == k - 1:  # one value, or only 0 lies below the least one
+            return x % m == 0
+        if i not in tables:
+            tables[i] = _apery_table(values[i:])
+        t = tables[i][x % m]
+        return t is not None and x >= t
+
+    if not representable(target, 0):
         return None
-
-    return rec(0, target)
+    alphas = []
+    rem = target
+    for i, v in enumerate(values[:-1]):
+        m = min(values[i + 1:])
+        tries = range(min(rem // v, m // math.gcd(v, m) - 1) + 1)
+        c = next((c for c in tries if representable(rem - c * v, i + 1)), None)
+        if c is None:
+            break
+        alphas.append(c)
+        rem -= c * v
+    else:
+        c, left = divmod(rem, values[-1])
+        if not left:
+            return (*alphas, c)
+    raise ArithmeticError(f"residue tables call {target} a sum of {values} but give no witness")
 
 
 def check_semigroup_condition(sd: SpliceDiagram) -> SemigroupConditionReport:
@@ -311,16 +334,7 @@ def check_semigroup_condition(sd: SpliceDiagram) -> SemigroupConditionReport:
             lprimes = tuple(linking_numbers(sd, v, w)[1] for w in lvs)
             target = sd.weight(v, u)
             alphas = _lex_min_combination(target, lprimes)
-            entries.append(
-                EdgeWitness(
-                    node=v,
-                    toward=u,
-                    weight=target,
-                    leaves=tuple(lvs),
-                    lprimes=lprimes,
-                    alphas=alphas,
-                )
-            )
+            entries.append(EdgeWitness(v, u, target, tuple(lvs), lprimes, alphas))
     return SemigroupConditionReport(entries=tuple(entries))
 
 
@@ -389,47 +403,36 @@ def splice_equations(sd: SpliceDiagram, cd: CharacteristicData) -> SpliceEquatio
     equations = []
     for k in range(1, g):
         v = node_of[k]
-        eq = []
-        witness_pairs = []
-        # leaf edge
-        eq.append(monomial({k: cd.n[k]}))
-        witness_pairs.append((leaf_of[k], {k: cd.n[k]}))
-        # forward edge: next node for k < g-1, the n_g leaf at the last node
-        eq.append(monomial({k + 1: cd.n[k + 1]}))
-        toward = node_of[k + 1] if k < g - 1 else leaf_of[g]
-        witness_pairs.append((toward, {k + 1: cd.n[k + 1]}))
-        # backward edge: the n_0 leaf at the first node, the b-monomial after
+        # the leaf edge; the forward edge, toward the next node or at the last
+        # node the n_g leaf; the backward edge, toward the n_0 leaf at the
+        # first node and with the b-monomial after
+        pairs = [
+            (leaf_of[k], {k: cd.n[k]}),
+            (node_of[k + 1] if k < g - 1 else leaf_of[g], {k + 1: cd.n[k + 1]}),
+        ]
         if k == 1:
-            eq.append(monomial({0: cd.n[0]}))
-            witness_pairs.append((leaf_of[0], {0: cd.n[0]}))
+            pairs.append((leaf_of[0], {0: cd.n[0]}))
         else:
             row = cd.b_row(k)
-            exps = {j: row[j] for j in range(k) if row[j]}
-            eq.append(monomial(exps))
-            witness_pairs.append((node_of[k - 1], exps))
+            pairs.append((node_of[k - 1], {j: row[j] for j in range(k) if row[j]}))
         d_v = expected.node_weight_product(v)
-        for (toward, exps), mono in zip(witness_pairs, eq):
+        for toward, exps in pairs:
             target = expected.weight(v, toward)
-            lvs = expected.leaves_beyond(v, toward)
-            leaf_level = {u: lv for lv, u in leaf_of.items()}
-            total = 0
-            vweight = 0
-            for u in lvs:
-                lw = leaf_level[u]
-                l_full, l_inner = linking_numbers(expected, v, u)
-                total += exps.get(lw, 0) * l_inner
+            total = sum(
+                exps.get(u - leaf_of[0], 0) * linking_numbers(expected, v, u)[1]
+                for u in expected.leaves_beyond(v, toward)
+            )
             if total != target:
                 raise SemigroupConditionFails(
                     f"monomial for node {k} toward {expected.labels[toward]} is not "
                     f"admissible: {total} != {target}"
                 )
-            for lw, c in exps.items():
-                vweight += c * linking_numbers(expected, v, leaf_of[lw])[0]
+            vweight = sum(c * linking_numbers(expected, v, leaf_of[w])[0] for w, c in exps.items())
             if vweight != d_v:
                 raise SemigroupConditionFails(
                     f"node weight of a monomial at node {k} is {vweight}, not {d_v}"
                 )
-        equations.append(tuple(eq))
+        equations.append(tuple(monomial(exps) for _, exps in pairs))
     if len(equations) != len(expected.leaves) - 2:
         raise ArithmeticError("one splice equation per node was not produced")
     return SpliceEquations(

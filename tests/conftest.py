@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from branchlink.semigroup import derive_from_generators
+from branchlink.semigroup import derive_from_generators, random_plane_semigroup
 
 
 def naive_det(rows) -> Fraction:
@@ -106,6 +106,49 @@ def box_representations(beta, n, target: int, upto: int, limit: int = 2):
             if len(sols) >= limit:
                 break
     return sols
+
+
+def lex_min_dfs(target: int, values) -> tuple[int, ...] | None:
+    """Lexicographically least nonnegative integers with sum a_i*v_i = target.
+
+    The memoised depth-first search over (index, remainder); the oracle for
+    the residue-table witness search in ``splice``.
+    """
+    n = len(values)
+    dead = set()
+
+    def rec(idx, rem):
+        if idx == n:
+            return () if rem == 0 else None
+        if (idx, rem) in dead:
+            return None
+        v = values[idx]
+        for c in range(rem // v + 1):
+            tail = rec(idx + 1, rem - c * v)
+            if tail is not None:
+                return (c,) + tail
+        dead.add((idx, rem))
+        return None
+
+    return rec(0, target)
+
+
+def apery_oracle(values) -> list:
+    """Least combination of the positive ``values`` in each residue class
+    modulo their least value m, or None, by marking every combination up to
+    (m - 1) * max(values): a least one in its class is a sum of at most m - 1
+    values (among m + 1 partial sums two share a residue, and the values
+    between them could be dropped)."""
+    m = min(values)
+    bound = (m - 1) * max(values)
+    reachable = [True] + [False] * bound
+    for x in range(1, bound + 1):
+        reachable[x] = any(v <= x and reachable[x - v] for v in values)
+    table = [None] * m
+    for x in range(bound, -1, -1):
+        if reachable[x]:
+            table[x % m] = x
+    return table
 
 
 def fraction_solve(rows, rhs=None):
@@ -210,6 +253,26 @@ def random_zhs_semigroup(g: int, rng: random.Random):
     out = tuple(beta)
     derive_from_generators(out)
     return out
+
+
+def acceptance_sample(size: int = 500) -> list[tuple[int, ...]]:
+    """The seeded generator lists behind the acceptance criteria."""
+    rng = random.Random(2024)
+    gens = []
+    for i in range(size):
+        g = rng.choice([3, 4, 5, 6])
+        max_n = 5 if g <= 4 else 3
+        gens.append(random_plane_semigroup(g, max_n, seed=f"acc:{i}"))
+    return gens
+
+
+def criterion_8_extras() -> list:
+    """The 30 integral-link inputs criterion 8 adds to the sample's own."""
+    rng = random.Random(2025)
+    return [
+        derive_from_generators(random_zhs_semigroup(rng.choice([3, 4, 5]), rng))
+        for _ in range(30)
+    ]
 
 
 def dense_invariant_factors(matrix) -> list[int]:

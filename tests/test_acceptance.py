@@ -42,7 +42,7 @@ from branchlink.splice import (
     splice_from_plumbing,
     verify_en_conditions,
 )
-from conftest import r_direct, random_zhs_semigroup
+from conftest import acceptance_sample, criterion_8_extras, r_direct
 
 SAMPLE_SIZE = 500
 _cache = {}
@@ -51,13 +51,7 @@ _cache = {}
 @pytest.fixture(scope="module")
 def sample():
     if "sample" not in _cache:
-        rng = random.Random(2024)
-        gens = []
-        for i in range(SAMPLE_SIZE):
-            g = rng.choice([3, 4, 5, 6])
-            max_n = 5 if g <= 4 else 3
-            gens.append(random_plane_semigroup(g, max_n, seed=f"acc:{i}"))
-        _cache["sample"] = gens
+        _cache["sample"] = acceptance_sample(SAMPLE_SIZE)
     return _cache["sample"]
 
 
@@ -252,10 +246,8 @@ def test_criterion_8_structural_invariants(sample):
         assert build_intersection_matrix(qr).negative_definite()
         assert is_negative_definite(pg)
     zhs_checked = 0
-    rng = random.Random(2025)
     candidates = [cd for cd, qr, pg in graphs if classify_link(cd).is_zhs]
-    extra = [derive_from_generators(random_zhs_semigroup(rng.choice([3, 4, 5]), rng)) for _ in range(30)]
-    for cd in candidates + extra:
+    for cd in candidates + criterion_8_extras():
         qr = compute_qresolution(cd)
         pg = assemble_full_resolution(qr)
         sd = splice_from_plumbing(pg)  # EN conditions verified on construction

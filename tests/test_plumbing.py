@@ -52,6 +52,21 @@ def test_worked_example_graph_shape():
     assert all(v.genus == 0 for v in pg.vertices)
 
 
+def test_is_tree_rejects_cycles_loops_and_forests():
+    def graph(n, edges):
+        verts = tuple(Vertex(vid=i, genus=0, self_int=-2, label=f"c{i}") for i in range(n))
+        return PlumbingGraph(vertices=verts, edges=edges, strict=((),))
+
+    assert graph(3, ((0, 1), (1, 2))).is_tree()
+    assert graph(1, ()).is_tree()
+    assert not graph(3, ((0, 1), (1, 2), (2, 0))).is_tree()  # a cycle
+    assert not graph(1, ((0, 0),)).is_tree()  # a loop
+    assert not graph(2, ((0, 1), (1, 1))).is_tree()  # a loop on a tree
+    assert not graph(4, ((0, 1), (2, 3))).is_tree()  # a two-component forest
+    # n - 1 edges, but a cycle plus an isolated vertex
+    assert not graph(4, ((0, 1), (1, 2), (2, 0))).is_tree()
+
+
 def test_worked_example_determinant_and_h1():
     pg = graph_of((8, 12, 26, 53))
     full = integer_intersection_matrix(pg)

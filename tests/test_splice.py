@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from branchlink.semigroup import derive_from_generators
 from branchlink.qres import compute_qresolution
+from branchlink.detcalc import classify_link
 from branchlink.plumbing import assemble_full_resolution
 from branchlink.splice import (
     NotZHS,
@@ -18,8 +20,16 @@ from branchlink.splice import (
     splice_equations,
     splice_from_plumbing,
     verify_en_conditions,
+    _apery_table,
+    _lex_min_combination,
 )
-from conftest import random_zhs_semigroup
+from conftest import (
+    acceptance_sample,
+    apery_oracle,
+    criterion_8_extras,
+    lex_min_dfs,
+    random_zhs_semigroup,
+)
 
 
 def single_node_diagram(weights):
@@ -236,3 +246,46 @@ def test_semigroup_condition_failure_is_reported():
     assert not report.satisfied
     failing = [e for e in report.entries if not e.satisfied]
     assert any(e.weight == 7 and set(e.lprimes) == {5, 11} for e in failing)
+
+
+def test_residue_tables_and_witnesses_match_the_oracles():
+    rng = random.Random(89)
+    seen = Counter()
+    for _ in range(6000):
+        k = rng.randint(0, 4)
+        values = [rng.randint(1, 40) for _ in range(k)]
+        if k and rng.random() < 0.25:  # a common factor leaves residues unreachable
+            factor = rng.choice((2, 3))
+            values = [factor * rng.randint(1, 20) for _ in range(k)]
+        if k >= 2 and rng.random() < 0.2:
+            values[rng.randrange(1, k)] = values[0]
+        if k and rng.random() < 0.1:
+            values[rng.randrange(k)] = 1
+        values = tuple(values)
+        target = 0 if rng.random() < 0.05 else rng.randint(0, 400)
+        if values:
+            table = _apery_table(values)
+            assert table == apery_oracle(values), values
+            seen["unreachable residue"] += None in table
+        alphas = _lex_min_combination(target, values)
+        assert alphas == lex_min_dfs(target, values), (target, values)
+        seen["repeated value"] += len(set(values)) < k
+        seen["value 1"] += 1 in values
+        seen["no representation"] += k > 0 and alphas is None
+        seen["empty values"] += k == 0
+        seen["target 0"] += target == 0
+    assert len(seen) == 6 and min(seen.values()) >= 50, seen
+
+
+def test_semigroup_witnesses_match_the_dfs_on_criterion_8_inputs():
+    # the integral links of acceptance criterion 8 with g <= 4, on the
+    # diagrams read off their plumbing graphs
+    cds = [derive_from_generators(beta) for beta in acceptance_sample()]
+    inputs = [cd for cd in cds + criterion_8_extras() if cd.g <= 4 and classify_link(cd).is_zhs]
+    entries = 0
+    for cd in inputs:
+        sd = splice_from_plumbing(assemble_full_resolution(compute_qresolution(cd)))
+        for entry in check_semigroup_condition(sd).entries:
+            assert entry.alphas == lex_min_dfs(entry.weight, entry.lprimes)
+            entries += 1
+    assert len(inputs) >= 15 and entries >= 100

@@ -290,6 +290,21 @@ try:
 except ArithmeticError as exc:
     print("semigroup:", exc)
 semigroup._b_row = real_row
+from branchlink import qres, splice
+real_genus = qres._genus_formula
+qres._genus_formula = lambda cd, k: real_genus(cd, k) + 1  # a wrong genus
+try:
+    print("qres:", qres.compute_qresolution(derive_from_generators((8, 12, 26, 53))))
+except ArithmeticError as exc:
+    print("qres:", exc)
+qres._genus_formula = real_genus
+real_table = splice._apery_table
+splice._apery_table = lambda values: [0] * min(values)  # every residue from 0 on
+try:
+    print("witness:", splice._lex_min_combination(7, (5, 11)))
+except ArithmeticError as exc:
+    print("witness:", exc)
+splice._apery_table = real_table
 cli.pl.classify_topologically = lambda graph: LinkClass(LinkKind.ZHS, (), ())
 print("exit", cli.main(["analyze", "8,12,26,53"]))
 """
@@ -301,5 +316,7 @@ print("exit", cli.main(["analyze", "8,12,26,53"]))
     assert "det_S: det(S) routes disagree" in proc.stdout
     assert "chain: malformed chain runs ((3, 1), (1, 2)) for 7/3" in proc.stdout
     assert "semigroup: b_10 inconsistent with n_1*beta_1/beta_0" in proc.stdout
+    assert "qres: Euler characteristic mismatch at level 1" in proc.stdout
+    assert "witness: residue tables call 7 a sum of (5, 11) but give no witness" in proc.stdout
     assert "exit 1" in proc.stdout
     assert proc.stderr == "internal error: classifier routes disagree\n"
