@@ -145,9 +145,7 @@ def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict
         raise ArithmeticError("torsion order is not det(S)")
     multiplicities = pl.pullback_on_full_resolution(graph, qr)
     report["plumbing"] = pl.to_json_dict(graph)
-    report["plumbing"]["multiplicities"] = [
-        multiplicities[v.vid] for v in graph.vertices
-    ]
+    report["plumbing"]["multiplicities"] = [multiplicities[v] for v in range(graph.n)]
     report["h1"] = {"free_rank": h1.free_rank, "torsion": list(h1.torsion)}
 
     if g >= 3:

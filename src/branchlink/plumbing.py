@@ -3,9 +3,10 @@
 Expands every singular point of the partial resolution into its bamboo
 chain, assembles the integer plumbing graph with the corrected strict
 transform self-intersections, and locates the strict transform of the
-curve (the arrow) on the resolved chain toric-style.  The graph is a tree,
-so its determinant, the negative-definiteness test and the pull-back solve
-all read from one exact integer tree kernel (``_linalg.TreeKernel``).  The
+curve (the arrow) on the resolved chain toric-style.  The graph is plain
+data, vertex columns beside an edge list, and a tree: its determinant, the
+negative-definiteness test, the pull-back solve and the splice walk all
+read from one exact integer tree kernel (``_linalg.TreeKernel``).  The
 first homology of the link comes from the Smith normal form of the
 intersection matrix, computed modulo its determinant by sparse unit-pivot
 elimination.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import _linalg
 from ._linalg import NotATree  # raised by every layer that reads the tree kernel
@@ -33,40 +34,25 @@ class NotNegativeDefinite(ValueError):
 
 
 @dataclass(frozen=True)
-class Vertex:
-    vid: int
-    genus: int
-    self_int: int
-    label: str
-
-
-@dataclass(frozen=True)
 class PlumbingGraph:
     """Dual graph of a good resolution: decorated vertices plus an arrow.
 
+    Vertex i is index i of the columns genus, self_int and labels.
     strict[k-1] holds the vertex ids of the level-k strict transforms.  The
     arrow records (vertex id, intersection number) pairs for the strict
     transform of the curve; it is empty for graphs assembled without one.
     """
 
-    vertices: tuple[Vertex, ...]
+    genus: tuple[int, ...]
+    self_int: tuple[int, ...]
+    labels: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     strict: tuple[tuple[int, ...], ...]
     arrow: tuple[tuple[int, int], ...] = ()
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
-
-    def adjacency(self) -> dict[int, list[int]]:
-        adj = {v.vid: [] for v in self.vertices}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
-    def degree(self, vid: int) -> int:
-        return sum(1 for i, j in self.edges if vid in (i, j))
+        return len(self.self_int)
 
     def is_tree(self) -> bool:
         """One connected component and no cycle, read from the tree kernel."""
@@ -79,14 +65,12 @@ class PlumbingGraph:
         """The integer tree kernel of the intersection matrix (vids 0..n-1).
 
         Built on the first call and kept on the instance, so every layer
-        reads the same pass.  Raises NotATree if the graph has a cycle.
+        reads the same pass and no other topology.  Raises NotATree if the
+        graph has a cycle.
         """
         tree = self.__dict__.get("_tree_kernel")
         if tree is None:
-            diag = [0] * self.n
-            for v in self.vertices:
-                diag[v.vid] = v.self_int
-            tree = _linalg.TreeKernel(diag, [(i, j, 1) for i, j in self.edges])
+            tree = _linalg.TreeKernel(self.self_int, [(i, j, 1) for i, j in self.edges])
             self.__dict__["_tree_kernel"] = tree  # frozen: bypass __setattr__
         return tree
 
@@ -102,43 +86,43 @@ def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:
     only layer that expands the run-length chains, one vertex per term.
     """
     g = qr.g
-    vertices: list[Vertex] = []
+    genus: list[int] = []
+    self_int: list[int] = []
+    labels: list[str] = []
     edges: list[tuple[int, int]] = []
 
-    def add_vertex(genus, self_int, label) -> int:
-        vid = len(vertices)
-        vertices.append(Vertex(vid=vid, genus=genus, self_int=self_int, label=label))
-        return vid
-
-    strict: list[list[int]] = []
+    strict: list[range] = []
     for k in range(1, g):
         e2 = strict_self_intersection(qr, k)
         if e2.denominator != 1:
             raise NonIntegralSelfIntersection(
                 f"level {k} strict transform has self-intersection {e2}"
             )
-        strict.append(
-            [add_vertex(qr.genus[k], int(e2), f"E{k}.{j + 1}") for j in range(qr.r[k])]
-        )
+        strict.append(range(len(labels), len(labels) + qr.r[k]))
+        genus.extend([qr.genus[k]] * qr.r[k])
+        self_int.extend([int(e2)] * qr.r[k])
+        labels.extend(f"E{k}.{j + 1}" for j in range(qr.r[k]))
 
-    def add_chain(chain, label, head_vid=None, tail_vid=None) -> list[int]:
-        """Vertices of one bamboo, run by run in chain order; link the given ends."""
-        vids = []
+    def add_chain(chain, label, head_vid=None, tail_vid=None) -> range:
+        """Vertices of one bamboo, a whole run at a time in chain order; link
+        the given ends."""
+        start = len(labels)
         for kappa, count in chain.runs:
-            for _ in range(count):
-                vids.append(add_vertex(0, -kappa, f"{label}.{len(vids) + 1}"))
-        for u, v in zip(vids, vids[1:]):
-            edges.append((u, v))
+            self_int.extend([-kappa] * count)
+        vids = range(start, len(self_int))
+        genus.extend([0] * len(vids))
+        labels.extend(f"{label}.{i + 1}" for i in range(len(vids)))
+        edges.extend(zip(vids, vids[1:]))
         if vids:
             if head_vid is not None:
-                edges.append((head_vid, vids[0]))
+                edges.append((head_vid, start))
             if tail_vid is not None:
                 edges.append((vids[-1], tail_vid))
         elif head_vid is not None and tail_vid is not None:
             edges.append((head_vid, tail_vid))
         return vids
 
-    p_chain_vids: list[int] = []
+    p_chain_vids = range(0)
     for pt in qr.census:
         if pt.kind == "Q0":
             # the level-1 curve is on slot 2: it meets the chain head
@@ -175,7 +159,9 @@ def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:
 
     arrow = _locate_arrow(qr, strict[g - 2][0], p_chain_vids)
     return PlumbingGraph(
-        vertices=tuple(vertices),
+        genus=tuple(genus),
+        self_int=tuple(self_int),
+        labels=tuple(labels),
         edges=tuple(edges),
         strict=tuple(tuple(vs) for vs in strict),
         arrow=arrow,
@@ -215,8 +201,8 @@ def _locate_arrow(qr, last_strict_vid, p_chain_vids) -> tuple[tuple[int, int], .
 def integer_intersection_matrix(pg: PlumbingGraph) -> list[list[int]]:
     n = pg.n
     m = [[0] * n for _ in range(n)]
-    for v in pg.vertices:
-        m[v.vid][v.vid] = v.self_int
+    for i, s in enumerate(pg.self_int):
+        m[i][i] = s
     for i, j in pg.edges:
         m[i][j] += 1
         m[j][i] += 1
@@ -260,11 +246,11 @@ def h1_link(pg: PlumbingGraph) -> H1Decomposition:
     tree = pg.tree_kernel()
     if not tree.negative_definite():
         raise NotNegativeDefinite("intersection matrix is not negative definite")
-    rows = {v.vid: {v.vid: v.self_int} for v in pg.vertices}
+    rows = {i: {i: s} for i, s in enumerate(pg.self_int)}
     for i, j in pg.edges:
         rows[i][j] = rows[j][i] = 1
     factors = _linalg.invariant_factors(rows, abs(tree.det))
-    free_rank = 2 * sum(v.genus for v in pg.vertices)
+    free_rank = 2 * sum(pg.genus)
     return H1Decomposition(
         free_rank=free_rank, torsion=tuple(f for f in factors if f > 1)
     )
@@ -278,7 +264,7 @@ def classify_topologically(pg: PlumbingGraph) -> LinkClass:
     criterion, which it must always agree with.
     """
     tree = pg.is_tree()
-    rational = all(v.genus == 0 for v in pg.vertices)
+    rational = not any(pg.genus)
     if not (tree and rational):
         kind = LinkKind.NOT_QHS
     elif graph_determinant(pg) == 1:
@@ -319,8 +305,10 @@ def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:
     arrow is dropped: the minimal model is a statement about the surface
     only, and the curve data does not survive contractions unchanged.
     """
-    vertices = {v.vid: v for v in pg.vertices}
-    adj = {vid: set() for vid in vertices}
+    genus, labels = pg.genus, pg.labels
+    self_int = list(pg.self_int)
+    alive = [True] * pg.n
+    adj = [set() for _ in range(pg.n)]
     loops = set()
     for i, j in pg.edges:
         if i == j:
@@ -330,24 +318,24 @@ def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:
             adj[j].add(i)
 
     def eligible(vid) -> bool:
-        v = vertices.get(vid)
-        return v is not None and v.genus == 0 and v.self_int == -1 and len(adj[vid]) <= 2
+        return alive[vid] and genus[vid] == 0 and self_int[vid] == -1 and len(adj[vid]) <= 2
 
     # always contract the least eligible vid; only the neighbours of a
     # contracted vertex change, so they are the only new candidates
-    heap = [vid for vid in vertices if eligible(vid)]
+    heap = [vid for vid in range(pg.n) if eligible(vid)]
     heapq.heapify(heap)
     contracted = []
     while heap:
         vid = heapq.heappop(heap)
         if not eligible(vid):
             continue
-        contracted.append(vertices.pop(vid).label)
+        contracted.append(labels[vid])
+        alive[vid] = False
         loops.discard(vid)
-        nbrs = adj.pop(vid)
+        nbrs, adj[vid] = adj[vid], set()
         for u in nbrs:
             adj[u].discard(vid)
-            vertices[u] = replace(vertices[u], self_int=vertices[u].self_int + 1)
+            self_int[u] += 1
         if len(nbrs) == 2:
             a, b = nbrs
             adj[a].add(b)
@@ -355,20 +343,20 @@ def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:
         for u in nbrs:
             if eligible(u):
                 heapq.heappush(heap, u)
-    edges = {(i, j) for i in adj for j in adj[i] if i < j} | {(i, i) for i in loops}
-    keep = sorted(vertices)
+    keep = [vid for vid in range(pg.n) if alive[vid]]
     relabel = {old: new for new, old in enumerate(keep)}
-    new_vertices = tuple(
-        v if v.vid == new else Vertex(vid=new, genus=v.genus, self_int=v.self_int, label=v.label)
-        for new, v in enumerate(vertices[old] for old in keep)
-    )
-    new_edges = tuple(sorted((relabel[i], relabel[j]) for i, j in edges))
+    edges = [(i, j) for i in keep for j in adj[i] if i < j] + [(i, i) for i in loops]
     new_strict = tuple(
         tuple(relabel[vid] for vid in level if vid in relabel) for level in pg.strict
     )
     return (
         PlumbingGraph(
-            vertices=new_vertices, edges=new_edges, strict=new_strict, arrow=()
+            genus=tuple(genus[vid] for vid in keep),
+            self_int=tuple(self_int[vid] for vid in keep),
+            labels=tuple(labels[vid] for vid in keep),
+            edges=tuple(sorted((relabel[i], relabel[j]) for i, j in edges)),
+            strict=new_strict,
+            arrow=(),
         ),
         contracted,
     )
@@ -377,8 +365,8 @@ def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:
 def to_dot(pg: PlumbingGraph) -> str:
     """Graphviz source; vertices are labelled "[genus, self-intersection]"."""
     lines = ["graph plumbing {"]
-    for v in pg.vertices:
-        lines.append(f'  v{v.vid} [label="[{v.genus}, {v.self_int}]"];')
+    for i, (genus, s) in enumerate(zip(pg.genus, pg.self_int)):
+        lines.append(f'  v{i} [label="[{genus}, {s}]"];')
     for i, j in pg.edges:
         lines.append(f"  v{i} -- v{j};")
     if pg.arrow:
@@ -392,8 +380,8 @@ def to_dot(pg: PlumbingGraph) -> str:
 def to_json_dict(pg: PlumbingGraph) -> dict:
     return {
         "vertices": [
-            {"id": v.vid, "genus": v.genus, "selfint": v.self_int, "label": v.label}
-            for v in pg.vertices
+            {"id": i, "genus": genus, "selfint": s, "label": label}
+            for i, (genus, s, label) in enumerate(zip(pg.genus, pg.self_int, pg.labels))
         ],
         "edges": [[i, j] for i, j in pg.edges],
         "arrow": [[vid, mult] for vid, mult in pg.arrow],

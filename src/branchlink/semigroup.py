@@ -158,21 +158,8 @@ def derive_from_generators(beta) -> CharacteristicData:
     if e[-1] != 1:
         raise NotAPlaneSemigroup(f"gcd of generators is {e[-1]}, not 1", witness=tuple(e))
 
-    # n_j | beta_i for j > i (follows from the gcd chain; checked anyway)
-    for i in range(g):
-        for j in range(i + 1, g + 1):
-            if beta[i] % n_tail[j - 1]:
-                raise NotAPlaneSemigroup(
-                    f"n_{j} = {n_tail[j - 1]} does not divide beta_{i} = {beta[i]}",
-                    witness=(i, j),
-                )
-    for i in range(1, g + 1):
-        if math.gcd(beta[i] // e[i], n_tail[i - 1]) != 1:
-            raise NotAPlaneSemigroup(
-                f"gcd(beta_{i}/e_{i}, n_{i}) = "
-                f"{math.gcd(beta[i] // e[i], n_tail[i - 1])} != 1",
-                witness=(i, beta[i] // e[i], n_tail[i - 1]),
-            )
+    # e_i = gcd(e_{i-1}, beta_i) alone gives n_j | e_{j-1} | beta_i for
+    # i < j and gcd(beta_i/e_i, n_i) = gcd(beta_i, e_{i-1})/e_i = 1
     for i in range(1, g):
         if n_tail[i - 1] * beta[i] >= beta[i + 1]:
             raise NotAPlaneSemigroup(
@@ -185,10 +172,7 @@ def derive_from_generators(beta) -> CharacteristicData:
     n0 = rows[0][0]
     if n0 * beta[0] != n_tail[0] * beta[1]:
         raise ArithmeticError("b_10 inconsistent with n_1*beta_1/beta_0")
-    if math.gcd(n0, n_tail[0]) != 1:
-        raise NotAPlaneSemigroup(
-            f"gcd(n_0, n_1) = {math.gcd(n0, n_tail[0])} != 1", witness=(n0, n_tail[0])
-        )
+    # so n_0 = beta_1/e_1 and n_1 = beta_0/e_1 are coprime
     return CharacteristicData(beta=beta, e=tuple(e), n=(n0,) + tuple(n_tail), b=rows)
 
 

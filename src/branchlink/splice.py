@@ -2,8 +2,9 @@
 
 A plumbing tree with |det| = 1 and rational vertices collapses, after
 suppressing the valency-2 vertices, to a weighted splice diagram whose edge
-weights are cut determinants; one rerooting pass of the plumbing graph's
-integer tree kernel gives them all.  This module computes that diagram, the
+weights are cut determinants; the plumbing graph's integer tree kernel
+gives the chains and, with one rerooting pass, every weight.  This module
+computes that diagram, the
 closed-form diagram the family is expected to produce, linking numbers, the
 semigroup condition with explicit witnesses, and the equations built from
 admissible monomials.
@@ -132,39 +133,58 @@ def splice_from_plumbing(pg: PlumbingGraph) -> SpliceDiagram:
     """Splice diagram of a plumbing graph with an integral homology sphere.
 
     Suppresses valency-2 vertices, then assigns to each (node, edge) pair
-    the determinant of the piece the edge cuts off, read from the tree
-    kernel's rerooting pass.  Raises NotZHS unless
-    the graph is a rational tree of determinant one, and ENViolation if the
-    produced diagram fails the Eisenbud-Neumann conditions, which would mean
-    an upstream bug.
+    the determinant of the piece the edge cuts off.  One pass down the tree
+    kernel's rooted order finds each kept vertex's chain up to the next
+    kept vertex: the weight at the top is the subtree determinant of the
+    chain's first vertex, the one at the bottom the branch above.  A root of
+    valency 2 lies inside a chain, whose two ends below it form one edge.
+    Raises NotZHS unless the graph is a rational tree of determinant one,
+    and ENViolation if the produced diagram fails the Eisenbud-Neumann
+    conditions, which would mean an upstream bug.
     """
     if not classify_topologically(pg).is_zhs:
         raise NotZHS("plumbing graph is not an integral homology sphere link")
-    adj = pg.adjacency()
-    degree = {v: len(adj[v]) for v in adj}
-    keep = [v for v in adj if degree[v] != 2]
-    nodes = frozenset(v for v in keep if degree[v] >= 3)
-    leaves = frozenset(v for v in keep if degree[v] == 1)
+    tree = pg.tree_kernel()
+    parent = tree.parent
+    degree = [int(u >= 0) for u in parent]
+    for u in parent:
+        if u >= 0:
+            degree[u] += 1
+    nodes = frozenset(v for v, d in enumerate(degree) if d >= 3)
+    leaves = frozenset(v for v, d in enumerate(degree) if d == 1)
     if not nodes:
         raise NotZHS("graph has no splice nodes (bamboo link)")
-    tree = pg.tree_kernel()
+    # top[v]: the kept vertex, or the root, above v with only valency-2
+    # vertices between; head[v]: the vertex right below top[v] toward v
+    top = list(parent)
+    head = list(range(len(parent)))
+    for v in tree.order:
+        u = parent[v]
+        if u >= 0 and degree[u] == 2 and parent[u] >= 0:
+            top[v], head[v] = top[u], head[u]
     edges = []
     weights = {}
-    seen_pairs = set()
-    for v in sorted(nodes):
-        for first in adj[v]:
-            prev, cur = v, first
-            while degree[cur] == 2:
-                nxt = [u for u in adj[cur] if u != prev][0]
-                prev, cur = cur, nxt
-            weights[(v, cur)] = abs(tree.branch_determinant(v, first))
-            if (v, cur) not in seen_pairs:
-                seen_pairs.add((v, cur))
-                seen_pairs.add((cur, v))
-                edges.append((v, cur))
-    labels = tuple(v.label for v in pg.vertices)
+    joined = []  # the kept ends below a root of valency 2
+    for v in tree.order:
+        u = top[v]
+        if u < 0 or degree[v] == 2:
+            continue
+        if degree[u] == 2:
+            joined.append(v)
+            continue
+        edges.append((u, v))
+        if u in nodes:
+            weights[(u, v)] = abs(tree.D[head[v]])
+        if v in nodes:
+            weights[(v, u)] = abs(tree.branch_determinant(v, parent[v]))
+    if joined:
+        a, b = joined
+        edges.append((a, b))
+        for v, u in ((a, b), (b, a)):
+            if v in nodes:
+                weights[(v, u)] = abs(tree.branch_determinant(v, parent[v]))
     sd = SpliceDiagram(
-        labels=labels,
+        labels=pg.labels,
         nodes=nodes,
         leaves=leaves,
         edges=tuple(edges),

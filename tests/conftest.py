@@ -8,7 +8,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from branchlink.plumbing import PlumbingGraph
 from branchlink.semigroup import derive_from_generators, random_plane_semigroup
+from branchlink.splice import SpliceDiagram
 
 
 def naive_det(rows) -> Fraction:
@@ -198,13 +200,37 @@ def fraction_solve(rows, rhs=None):
     return pivots, [x[i] for i in sorted(x)]
 
 
+def plumbing_graph(self_int, edges, genus=None):
+    """PlumbingGraph on vertices 0..n-1 with the given self-intersections,
+    edges and genera (all 0 by default), labelled v0, v1, ..., no strict
+    transforms and no arrow."""
+    n = len(self_int)
+    return PlumbingGraph(
+        genus=tuple(genus) if genus is not None else (0,) * n,
+        self_int=tuple(self_int),
+        labels=tuple(f"v{i}" for i in range(n)),
+        edges=tuple(edges),
+        strict=((),),
+    )
+
+
+def adjacency(pg) -> dict[int, list[int]]:
+    """Neighbour lists of pg, built from its edge list alone."""
+    adj = {v: [] for v in range(pg.n)}
+    for i, j in pg.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
 def graph_rows(pg, keep=None):
     """Sparse Fraction rows of the intersection matrix of pg, or of the
     subgraph on the vertex ids in ``keep``."""
-    keep = {v.vid for v in pg.vertices} if keep is None else keep
-    rows = {v.vid: {v.vid: Fraction(v.self_int)} for v in pg.vertices if v.vid in keep}
+    rows = {
+        v: {v: Fraction(s)} for v, s in enumerate(pg.self_int) if keep is None or v in keep
+    }
     for i, j in pg.edges:
-        if i in keep and j in keep:
+        if i in rows and j in rows:
             rows[i][j] = rows[i].get(j, 0) + 1
             rows[j][i] = rows[j].get(i, 0) + 1
     return rows
@@ -212,7 +238,7 @@ def graph_rows(pg, keep=None):
 
 def oracle_cut_determinant(pg, v, toward) -> int:
     """|det| of the piece of pg that the edge v-toward cuts off beyond v."""
-    adj = pg.adjacency()
+    adj = adjacency(pg)
     keep = set()
     stack = [toward]
     while stack:
@@ -225,6 +251,36 @@ def oracle_cut_determinant(pg, v, toward) -> int:
     det = math.prod(pivots, start=Fraction(1))
     assert det.denominator == 1
     return abs(int(det))
+
+
+def splice_walk_oracle(pg) -> SpliceDiagram:
+    """Splice diagram of pg by walking every valency-2 chain vertex by vertex
+    over an adjacency of its own, from each node in turn; the weight at a
+    node is the cut determinant of the first vertex of the chain.  The
+    oracle for the one-pass walk over the tree kernel's rooted order."""
+    adj = adjacency(pg)
+    degree = {v: len(adj[v]) for v in adj}
+    keep = [v for v in adj if degree[v] != 2]
+    nodes = frozenset(v for v in keep if degree[v] >= 3)
+    leaves = frozenset(v for v in keep if degree[v] == 1)
+    tree = pg.tree_kernel()
+    edges = []
+    weights = {}
+    seen_pairs = set()
+    for v in sorted(nodes):
+        for first in adj[v]:
+            prev, cur = v, first
+            while degree[cur] == 2:
+                nxt = [u for u in adj[cur] if u != prev][0]
+                prev, cur = cur, nxt
+            weights[(v, cur)] = abs(tree.branch_determinant(v, first))
+            if (v, cur) not in seen_pairs:
+                seen_pairs.add((v, cur))
+                seen_pairs.add((cur, v))
+                edges.append((v, cur))
+    return SpliceDiagram(
+        labels=pg.labels, nodes=nodes, leaves=leaves, edges=tuple(edges), weights=weights
+    )
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17)

@@ -7,6 +7,7 @@ import pytest
 from branchlink.cli import build_report, main, parse_generators
 from branchlink.semigroup import derive_from_generators
 from branchlink.detcalc import det_S
+from conftest import plumbing_graph
 
 
 def run_cli(*args):
@@ -174,14 +175,8 @@ def test_analyze_g5_finishes_with_torsion_equal_to_det_S(capsys):
 )
 def test_graph_errors_exit_1_with_one_line(generators, edges, self_int, monkeypatch, capsys):
     from branchlink import cli
-    from branchlink.plumbing import PlumbingGraph, Vertex
-
     n = max((max(e) for e in edges), default=0) + 1
-    graph = PlumbingGraph(
-        vertices=tuple(Vertex(vid=i, genus=0, self_int=self_int, label=f"v{i}") for i in range(n)),
-        edges=edges,
-        strict=((),),
-    )
+    graph = plumbing_graph([self_int] * n, edges)
     monkeypatch.setattr(cli.pl, "assemble_full_resolution", lambda qr: graph)
     assert main(["analyze", generators]) == 1
     captured = capsys.readouterr()

@@ -9,8 +9,6 @@ from branchlink.qres import compute_qresolution
 from branchlink.detcalc import LinkKind, classify_link, det_S
 from branchlink.plumbing import (
     NotNegativeDefinite,
-    PlumbingGraph,
-    Vertex,
     assemble_full_resolution,
     classify_topologically,
     graph_determinant,
@@ -23,7 +21,13 @@ from branchlink.plumbing import (
     to_json_dict,
 )
 from branchlink import _linalg
-from conftest import dense_invariant_factors, naive_det, random_zhs_semigroup
+from conftest import (
+    adjacency,
+    dense_invariant_factors,
+    naive_det,
+    plumbing_graph,
+    random_zhs_semigroup,
+)
 
 
 def graph_of(beta):
@@ -31,11 +35,7 @@ def graph_of(beta):
 
 
 def chain_graph(kappas):
-    verts = tuple(
-        Vertex(vid=i, genus=0, self_int=-k, label=f"c{i}") for i, k in enumerate(kappas)
-    )
-    edges = tuple((i, i + 1) for i in range(len(kappas) - 1))
-    return PlumbingGraph(vertices=verts, edges=edges, strict=((),))
+    return plumbing_graph([-k for k in kappas], [(i, i + 1) for i in range(len(kappas) - 1)])
 
 
 def test_worked_example_graph_shape():
@@ -44,18 +44,17 @@ def test_worked_example_graph_shape():
     # two chains with weights (3, 2, 2)
     assert pg.n == 13
     assert pg.is_tree()
-    by_label = {v.label: v for v in pg.vertices}
-    assert by_label["E1.1"].self_int == -2
-    assert by_label["E1.2"].self_int == -2
-    assert by_label["E2.1"].self_int == -1
-    assert sum(1 for v in pg.vertices if v.self_int == -3) == 4 + 2
-    assert all(v.genus == 0 for v in pg.vertices)
+    by_label = dict(zip(pg.labels, pg.self_int))
+    assert by_label["E1.1"] == -2
+    assert by_label["E1.2"] == -2
+    assert by_label["E2.1"] == -1
+    assert sum(1 for s in pg.self_int if s == -3) == 4 + 2
+    assert all(genus == 0 for genus in pg.genus)
 
 
 def test_is_tree_rejects_cycles_loops_and_forests():
     def graph(n, edges):
-        verts = tuple(Vertex(vid=i, genus=0, self_int=-2, label=f"c{i}") for i in range(n))
-        return PlumbingGraph(vertices=verts, edges=edges, strict=((),))
+        return plumbing_graph([-2] * n, edges)
 
     assert graph(3, ((0, 1), (1, 2))).is_tree()
     assert graph(1, ()).is_tree()
@@ -85,7 +84,7 @@ def test_worked_example_pullback_multiplicities():
     qr = compute_qresolution(cd)
     pg = assemble_full_resolution(qr)
     mult = pullback_on_full_resolution(pg, qr)
-    values = {pg.vertices[v].label: m for v, m in mult.items()}
+    values = {pg.labels[v]: m for v, m in mult.items()}
     assert values["E1.1"] == values["E1.2"] == 6
     assert values["E2.1"] == 26
     for label, m in values.items():
@@ -95,7 +94,7 @@ def test_worked_example_pullback_multiplicities():
         chain = sorted(m for label, m in values.items() if label.startswith(f"Q12[{j}]"))
         assert chain == [8, 10, 12]
     # the strict transform of the curve meets the last curve twice
-    assert pg.arrow == ((next(v.vid for v in pg.vertices if v.label == "E2.1"), 2),)
+    assert pg.arrow == ((pg.labels.index("E2.1"), 2),)
 
 
 def test_strict_transform_vertices_are_marked():
@@ -103,7 +102,7 @@ def test_strict_transform_vertices_are_marked():
     qr = compute_qresolution(cd)
     pg = assemble_full_resolution(qr)
     strict_ids = {v for level in pg.strict for v in level}
-    chain_ids = {v.vid for v in pg.vertices} - strict_ids
+    chain_ids = set(range(pg.n)) - strict_ids
     assert len(strict_ids) == sum(qr.r[1:])
     assert chain_ids  # coprime data still carries nontrivial chains here
 
@@ -113,13 +112,13 @@ def test_e8_graph_from_g2_example():
     qr = compute_qresolution(cd)
     pg = assemble_full_resolution(qr)
     assert pg.n == 8
-    assert all(v.self_int == -2 and v.genus == 0 for v in pg.vertices)
-    degrees = sorted(pg.degree(v.vid) for v in pg.vertices)
+    assert all(s == -2 and genus == 0 for s, genus in zip(pg.self_int, pg.genus))
+    degrees = sorted(len(nbrs) for nbrs in adjacency(pg).values())
     assert degrees == [1, 1, 1, 2, 2, 2, 2, 3]
     assert graph_determinant(pg) == 1
     assert classify_topologically(pg).kind is LinkKind.ZHS
     mult = pullback_on_full_resolution(pg, qr)
-    values = {pg.vertices[v].label: m for v, m in mult.items()}
+    values = {pg.labels[v]: m for v, m in mult.items()}
     assert values["E1.1"] == 30
     assert sorted(values.values()) == [6, 10, 12, 16, 18, 20, 24, 30]
 
@@ -171,22 +170,14 @@ def test_h1_torsion_order_matches_det_S():
 
 
 def test_h1_free_rank_counts_genus():
-    pg = PlumbingGraph(
-        vertices=(Vertex(vid=0, genus=1, self_int=-1, label="torus"),),
-        edges=(),
-        strict=((0,),),
-    )
+    pg = plumbing_graph([-1], [], genus=[1])
     h1 = h1_link(pg)
     assert h1.free_rank == 2
     assert h1.torsion == ()
 
 
 def test_h1_rejects_indefinite():
-    pg = PlumbingGraph(
-        vertices=(Vertex(vid=0, genus=0, self_int=1, label="bad"),),
-        edges=(),
-        strict=((0,),),
-    )
+    pg = plumbing_graph([1], [])
     with pytest.raises(NotNegativeDefinite):
         h1_link(pg)
 
@@ -290,7 +281,7 @@ def test_classify_topologically_matches_gcd_route():
 
 def test_genus_vertex_forces_not_qhs():
     pg = graph_of((24, 36, 75, 311))
-    assert any(v.genus > 0 for v in pg.vertices)
+    assert any(genus > 0 for genus in pg.genus)
     assert classify_topologically(pg).kind is LinkKind.NOT_QHS
 
 

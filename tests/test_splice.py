@@ -7,7 +7,7 @@ import pytest
 from branchlink.semigroup import derive_from_generators
 from branchlink.qres import compute_qresolution
 from branchlink.detcalc import classify_link
-from branchlink.plumbing import assemble_full_resolution
+from branchlink.plumbing import assemble_full_resolution, graph_determinant
 from branchlink.splice import (
     NotZHS,
     SpliceDiagram,
@@ -25,10 +25,13 @@ from branchlink.splice import (
 )
 from conftest import (
     acceptance_sample,
+    adjacency,
     apery_oracle,
     criterion_8_extras,
     lex_min_dfs,
+    plumbing_graph,
     random_zhs_semigroup,
+    splice_walk_oracle,
 )
 
 
@@ -70,6 +73,74 @@ def test_cut_determinants_equal_closed_form_weights():
         pg = assemble_full_resolution(compute_qresolution(cd))
         sd = splice_from_plumbing(pg)
         assert diagrams_isomorphic(sd, expected_splice_diagram(cd))
+
+
+def assert_same_diagram(sd, oracle):
+    assert sd.labels == oracle.labels
+    assert sd.nodes == oracle.nodes
+    assert sd.leaves == oracle.leaves
+    assert Counter(map(frozenset, sd.edges)) == Counter(map(frozenset, oracle.edges))
+    assert sd.weights == oracle.weights
+
+
+def chain_ends(adj, v):
+    """The vertices of valency != 2 at both ends of the chain through v."""
+    ends = []
+    for first in adj[v]:
+        prev, cur = v, first
+        while len(adj[cur]) == 2:
+            prev, cur = cur, next(u for u in adj[cur] if u != prev)
+        ends.append(cur)
+    return ends
+
+
+def rooted_at(pg, root, rng):
+    """pg relabelled by a seeded shuffle that makes ``root`` vertex 0, the
+    tree kernel's root."""
+    order = list(range(pg.n))
+    rng.shuffle(order)
+    order.remove(root)
+    order.insert(0, root)  # order[new id] = old id
+    new = {old: i for i, old in enumerate(order)}
+    return plumbing_graph(
+        [pg.self_int[old] for old in order],
+        [(new[i], new[j]) for i, j in pg.edges],
+        genus=[pg.genus[old] for old in order],
+    )
+
+
+def test_splice_walk_matches_the_oracle_on_family_graphs():
+    rng = random.Random(79)
+    between_nodes = 0
+    for _ in range(12):
+        cd = derive_from_generators(random_zhs_semigroup(rng.choice([3, 4]), rng))
+        pg = assemble_full_resolution(compute_qresolution(cd))
+        adj = adjacency(pg)
+        assert len(adj[0]) != 2  # assembled graphs never root inside a chain
+        assert_same_diagram(splice_from_plumbing(pg), splice_walk_oracle(pg))
+        # the same graph rooted inside a chain, between two nodes where it can
+        inner = [u for v in adj if len(adj[v]) >= 3 for u in adj[v] if len(adj[u]) == 2]
+        between = [u for u in inner if all(len(adj[e]) >= 3 for e in chain_ends(adj, u))]
+        moved = rooted_at(pg, rng.choice(between or inner), rng)
+        assert len(adjacency(moved)[0]) == 2
+        assert_same_diagram(splice_from_plumbing(moved), splice_walk_oracle(moved))
+        between_nodes += bool(between)
+    assert between_nodes >= 3
+
+
+def test_splice_walk_through_a_valency_2_root_on_e8():
+    pg = assemble_full_resolution(compute_qresolution(derive_from_generators((6, 10, 31))))
+    rng = random.Random(8)
+    adj = adjacency(pg)
+    inner = [v for v in adj if len(adj[v]) == 2]
+    assert len(inner) == 4  # one on the arm of weight 3, three on the arm of weight 5
+    for root in inner:
+        e8 = rooted_at(pg, root, rng)
+        assert len(adjacency(e8)[0]) == 2
+        assert graph_determinant(e8) == 1
+        sd = splice_from_plumbing(e8)
+        assert_same_diagram(sd, splice_walk_oracle(e8))
+        assert diagrams_isomorphic(sd, single_node_diagram((5, 3, 2)))
 
 
 def test_not_zhs_rejected():

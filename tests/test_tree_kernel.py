@@ -13,8 +13,6 @@ from branchlink.semigroup import derive_from_generators, random_plane_semigroup
 from branchlink.qres import compute_qresolution
 from branchlink.plumbing import (
     NotNegativeDefinite,
-    PlumbingGraph,
-    Vertex,
     assemble_full_resolution,
     graph_determinant,
     h1_link,
@@ -23,11 +21,13 @@ from branchlink.plumbing import (
     pullback_on_full_resolution,
 )
 from conftest import (
+    adjacency,
     dense,
     fraction_solve,
     graph_rows,
     naive_det,
     oracle_cut_determinant,
+    plumbing_graph,
     random_forest,
     random_zhs_semigroup,
 )
@@ -157,7 +157,7 @@ def test_cut_determinants_match_fraction_oracle_on_zhs_graphs():
         beta = random_zhs_semigroup(rng.choice([3, 4]), rng)
         pg = assemble_full_resolution(compute_qresolution(derive_from_generators(beta)))
         tree = pg.tree_kernel()
-        adj = pg.adjacency()
+        adj = adjacency(pg)
         for v in (v for v in adj if len(adj[v]) >= 3):
             for u in adj[v]:
                 assert abs(tree.branch_determinant(v, u)) == oracle_cut_determinant(pg, v, u)
@@ -181,8 +181,7 @@ def test_pullback_matches_fraction_oracle_on_seeded_graphs():
 
 
 def cycle_graph():
-    verts = tuple(Vertex(vid=i, genus=0, self_int=-3, label=f"c{i}") for i in range(3))
-    return PlumbingGraph(vertices=verts, edges=((0, 1), (1, 2), (2, 0)), strict=((),))
+    return plumbing_graph([-3] * 3, [(0, 1), (1, 2), (2, 0)])
 
 
 def test_graph_with_a_cycle_raises_not_a_tree():
@@ -197,8 +196,7 @@ def test_graph_with_a_cycle_raises_not_a_tree():
 
 
 def test_h1_rejects_zero_pivot_graph():
-    verts = tuple(Vertex(vid=i, genus=0, self_int=-1, label=f"c{i}") for i in range(3))
-    pg = PlumbingGraph(vertices=verts, edges=((0, 1), (1, 2)), strict=((),))
+    pg = plumbing_graph([-1] * 3, [(0, 1), (1, 2)])
     assert graph_determinant(pg) == 1
     with pytest.raises(NotNegativeDefinite):
         h1_link(pg)
@@ -206,8 +204,8 @@ def test_h1_rejects_zero_pivot_graph():
 
 def rescan_minimize(pg):
     """The contraction pass by full rescans: least eligible vid first."""
-    vertices = {v.vid: v.self_int for v in pg.vertices}
-    genus = {v.vid: v.genus for v in pg.vertices}
+    vertices = dict(enumerate(pg.self_int))
+    genus = dict(enumerate(pg.genus))
     edges = {tuple(sorted(e)) for e in pg.edges}
     order = []
     while True:
@@ -233,13 +231,13 @@ def test_minimize_keeps_the_rescan_contraction_order():
         n = rng.randint(1, 9)
         edges = random_forest(rng, n, rng.randint(1, 2))
         diag = [rng.choice((-1, -1, -2, -2, -3)) for _ in range(n)]
-        verts = tuple(Vertex(vid=i, genus=0, self_int=d, label=f"v{i}") for i, d in enumerate(diag))
-        pg = PlumbingGraph(vertices=verts, edges=tuple(edges), strict=((),))
+        pg = plumbing_graph(diag, edges)
         order, left, left_edges = rescan_minimize(pg)
         reduced, contracted = minimize(pg)
         assert contracted == [f"v{vid}" for vid in order]
         keep = sorted(left)
-        assert [v.self_int for v in reduced.vertices] == [left[vid] for vid in keep]
+        assert list(reduced.self_int) == [left[vid] for vid in keep]
+        assert list(reduced.labels) == [f"v{vid}" for vid in keep]
         relabel = {old: new for new, old in enumerate(keep)}
         assert reduced.edges == tuple(sorted((relabel[i], relabel[j]) for i, j in left_edges))
         cascades += len(order) > 1
