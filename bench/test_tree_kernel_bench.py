@@ -83,6 +83,29 @@ def test_rerooting_pass(benchmark, graph):
     assert len(weights) == len(pairs) and all(weights)
 
 
+def test_splice_parent_ward_cuts(benchmark, zhs_graph):
+    """The cut determinants splice_from_plumbing asks toward the parent, one
+    per node below the root, on a fresh kernel each round (not timed)."""
+    cd, pg = zhs_graph
+    degree = [0] * pg.n
+    for i, j in pg.edges:
+        degree[i] += 1
+        degree[j] += 1
+    parent = pg.tree_kernel().parent
+    pairs = [(v, u) for v, u in enumerate(parent) if u >= 0 and degree[v] >= 3]
+
+    def cut_determinants(tree):
+        return [abs(tree.branch_determinant(v, u)) for v, u in pairs]
+
+    weights = benchmark.pedantic(
+        cut_determinants,
+        setup=lambda: ((fresh(pg).tree_kernel(),), {}),
+        rounds=5,
+        warmup_rounds=1,
+    )
+    assert pairs and set(weights) <= set(expected_splice_diagram(cd).weights.values())
+
+
 def test_pullback_solve(benchmark, graph):
     _, qr, pg = graph
     mult = run(benchmark, lambda: pullback_on_full_resolution(fresh(pg), qr))

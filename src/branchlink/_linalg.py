@@ -4,8 +4,9 @@ Everything works over arbitrary-precision integers and fractions; no
 floating point anywhere.  Every intersection matrix in the package is a
 tree: the plumbing graph with edge weights 1 and the partial-resolution
 matrix with edge weights 1/d_{k(k+1)}.  So one exact tree kernel
-(``TreeKernel``) gives all their determinants, definiteness signs, cut
-determinants and solves.  The Smith normal form works modulo the
+(``TreeKernel``) gives all their determinants and definiteness signs from
+one leaf-to-root pass, each cut determinant from a walk to the root, and
+their solves.  The Smith normal form works modulo the
 determinant: sparse unit-pivot elimination first, then a small dense core
 over Z/|det|.
 """
@@ -75,9 +76,9 @@ class TreeKernel:
     children c, from (diag[v], 1), where w_c weighs the edge from c up to v.
     D[v]/P[v] is the pivot of v in a leaf-first symmetric elimination, so
     the determinant and the signs of every pivot come from this one pass; a
-    rerooting pass gives the cut determinants and a back-substitution the
-    solve (Neumann, *A calculus for plumbing*, 1981; Eisenbud and Neumann,
-    1985).
+    cut determinant is some D[u] or, toward the parent, one walk to the
+    root with the same recurrence, and a back-substitution gives the solve
+    (Neumann, *A calculus for plumbing*, 1981; Eisenbud and Neumann, 1985).
     """
 
     def __init__(self, diag, edges):
@@ -128,7 +129,7 @@ class TreeKernel:
         self.roots = roots
         self.D = D
         self.P = P
-        self._above = None
+        self._children = None  # built by the first parent-ward branch_determinant
 
     @property
     def det(self):
@@ -140,50 +141,37 @@ class TreeKernel:
         return all(d < 0 < p or p < 0 < d for d, p in zip(self.D, self.P))
 
     def branch_determinant(self, v: int, u: int):
-        """det of the component of the forest minus v that holds its neighbour u."""
-        if self.parent[u] == v:
-            return self.D[u]
-        if self.parent[v] != u:
-            raise ValueError(f"{u} is not a neighbour of {v}")
-        if self._above is None:
-            self._above = self._reroot()
-        return self._above[v]
+        """det of the component of the forest minus v that holds its neighbour u.
 
-    def _reroot(self) -> list:
-        """Root-to-leaf pass: det of the branch above every vertex.
-
-        The branch above v is the component of the forest minus v that holds
-        the parent of v.  A branch with pair (D_b, P_b), joined to a vertex
-        by an edge of weight w, acts on that vertex's pair as x*I - y*N with
-        (x, y) = (D_b, w^2*P_b) and N nilpotent, so these actions commute and
-        multiply as (x1*x2, x1*y2 + y1*x2).  The branch above a child c of w
-        is w's pair from every branch at w but c's own: a prefix over the
-        branches before c, starting with the branch above w, times a suffix
-        over those after it.  A root has no branch above it: (1, 0).
+        Toward a child u this is D[u].  Toward the parent it walks from v up
+        to the root, recomputing each ancestor's pair from its diagonal over
+        its children: the child on the path gives the pair just recomputed,
+        v itself gives (1, 0), which drops its branch, and every other child
+        its stored (D, P).  The root's D is the answer.  One query costs the
+        children met on the path; the children lists are built on the first
+        such query.
         """
-        D, diag, parent, weight = self.D, self.diag, self.parent, self.weight
-        Y = [w * w * p for w, p in zip(weight, self.P)]  # y of each subtree's action
-        children = [[] for _ in D]
-        for v in self.order:
-            if parent[v] >= 0:
-                children[parent[v]].append(v)
-        above_D = [1] * len(D)
-        above_P = [0] * len(D)
-        for w in self.order:
-            kids = children[w]
-            if not kids:
-                continue
-            x, y = above_D[w], weight[w] ** 2 * above_P[w]
-            suffix = [(1, 0)]
-            for c in reversed(kids[1:]):
-                sx, sy = suffix[-1]
-                suffix.append((D[c] * sx, D[c] * sy + Y[c] * sx))
-            for c in kids:
-                sx, sy = suffix.pop()
-                px, py = x * sx, x * sy + y * sx
-                above_D[c], above_P[c] = diag[w] * px - py, px
-                x, y = x * D[c], x * Y[c] + y * D[c]
-        return above_D
+        parent = self.parent
+        if parent[u] == v:
+            return self.D[u]
+        if parent[v] != u:
+            raise ValueError(f"{u} is not a neighbour of {v}")
+        children = self._children
+        if children is None:
+            children = self._children = [[] for _ in parent]
+            for c, a in enumerate(parent):
+                if a >= 0:
+                    children[a].append(c)
+        D, P, diag, weight = self.D, self.P, self.diag, self.weight
+        d, p = 1, 0
+        while u >= 0:
+            x, y = diag[u], 1
+            for c in children[u]:
+                dc, pc = (d, p) if c == v else (D[c], P[c])
+                x, y = x * dc - weight[c] ** 2 * y * pc, y * dc
+            d, p = x, y
+            v, u = u, parent[u]
+        return d
 
     def solve(self, rhs) -> list:
         """Exact solution x of A x = rhs; ints where integral, else Fractions.

@@ -61,12 +61,22 @@ def parse_generators(text: str) -> tuple[int, ...]:
             raise InvalidInput(f"malformed JSON: {exc}") from exc
         except KeyError as exc:
             raise InvalidInput('JSON input has no "generators" list') from exc
+        if not isinstance(items, list) or any(isinstance(x, (bool, float)) for x in items):
+            raise InvalidInput(f"generators must be a list of integers, got {json.dumps(items)}")
     else:
         items = text.replace(",", " ").split()
     try:
         return tuple(int(x) for x in items)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"generators must be integers: {exc}") from exc
+
+
+def _write_dot(path, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict:
@@ -201,8 +211,7 @@ def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict
             ],
         }
     if dot_path:
-        with open(dot_path, "w") as fh:
-            fh.write(pl.to_dot(drawn))
+        _write_dot(dot_path, pl.to_dot(drawn))
     return report
 
 
@@ -263,6 +272,8 @@ def cmd_analyze(args) -> int:
 def cmd_random(args) -> int:
     if args.g < 2 or args.max_n < 2:
         raise InvalidInput("--g and --max-n must be at least 2")
+    if args.count < 0:
+        raise InvalidInput("--count must be at least 0")
     rng_seed = args.seed
     for i in range(args.count):
         beta = random_plane_semigroup(args.g, args.max_n, seed=f"{rng_seed}:{i}")
@@ -304,8 +315,7 @@ def cmd_splice(args) -> int:
     report = build_report(generators)
     payload = report["splice"]
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(_splice_dot(sp.expected_splice_diagram(cd)))
+        _write_dot(args.dot, _splice_dot(sp.expected_splice_diagram(cd)))
     if args.json:
         json.dump(_enc(payload), sys.stdout, indent=2)
         print()
@@ -344,8 +354,7 @@ def cmd_graph(args) -> int:
         graph, _ = pl.minimize(graph)
     text = pl.to_dot(graph)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(text)
+        _write_dot(args.dot, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -171,31 +171,35 @@ def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:
 def _locate_arrow(qr, last_strict_vid, p_chain_vids) -> tuple[tuple[int, int], ...]:
     """Where the strict transform of the curve meets the resolved graph.
 
-    At the last singular point the curve is the binomial germ
-    {x_g^{n_g} = x_0^D}; its intersections with the resolved boundary come
-    from the planar-lattice fan walk.  Index 0 of the walk is the last
-    strict transform, indices 1..r are the chain read from that side, and
-    the final index is the coordinate axis that never enters the graph.
+    Once, with multiplicity n_g, at the head of the P chain, or at E_{g-1}
+    when P is smooth.  At P the curve is the germ {x_g^{n_g} = x_0^delta},
+    delta = n_g*beta_g - n_{g-1}*beta_{g-1}, on the quotient of raw type
+    (n_g; -1, c) with c = n_{g-1}*beta_{g-1}/n_g (n_g = e_{g-1} divides
+    beta_{g-1}).  In the planar-lattice picture:
+
+    - the lattice is N = {(x, y) : n_g*x in Z, y + c*x in Z}, of covolume
+      1/n_g;
+    - the germ's ray (n_g, delta) has delta + c*n_g = n_g*beta_g, and
+      gcd(n_g, beta_g) = e_g = 1, so its primitive point is
+      w = (1, delta/n_g);
+    - the last cone of the resolved fan is spanned by (1/n_g, y_r), with
+      0 <= y_r < 1, and the axis (0, 1), so
+      w = n_g*(1/n_g, y_r) + (delta/n_g - n_g*y_r)*(0, 1);
+    - the second coefficient is at least 1, because
+      delta/n_g = beta_g - c > c*(n_g - 1) >= n_g, as
+      beta_g > n_{g-1}*beta_{g-1} and c >= 2.
+
+    So the curve meets the fan point next to the axis n_g times, and the
+    axis, which never enters the graph, elsewhere.  The fan is read from
+    E_{g-1}, and the P chain hangs off E_{g-1} by its tail, so that point is
+    the chain's head, or E_{g-1} itself when the chain is empty.  The fan
+    walk still checks the chain.
     """
-    cd, g = qr.cd, qr.g
     p_pt = next(pt for pt in qr.census if pt.kind == "P")
-    lat = PlanarLattice.of(p_pt.raw)
-    walked = lat.chain_kappas_from_first_axis()
+    walked = PlanarLattice.of(p_pt.raw).chain_kappas_from_first_axis()
     if walked != tuple(reversed(p_pt.chain.kappas)):
         raise ArithmeticError("fan walk disagrees with chain")
-    delta = cd.n[g] * cd.beta[g] - cd.n[g - 1] * cd.beta[g - 1]
-    hits = lat.curve_boundary_intersections(exp_second=cd.n[g], exp_first=delta)
-    r = len(p_pt.chain)
-    arrow = []
-    for idx, mult in hits:
-        if idx == 0:
-            arrow.append((last_strict_vid, mult))
-        elif idx <= r:
-            arrow.append((p_chain_vids[r - idx], mult))
-        # idx == r + 1 is the strict transform of the last coordinate axis
-    if not arrow:
-        raise ArithmeticError("curve does not meet the exceptional locus")
-    return tuple(arrow)
+    return ((p_chain_vids[0] if p_chain_vids else last_strict_vid, qr.cd.n[qr.g]),)
 
 
 def integer_intersection_matrix(pg: PlumbingGraph) -> list[list[int]]:

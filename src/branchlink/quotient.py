@@ -6,11 +6,10 @@ encoded, as (kappa, count) runs: a type d/q needs O(number of runs) steps
 and memory, however long the chain (a run of 2s can be 10^5 vertices long
 while the whole chain has a dozen runs).  Only the assembly of the full
 plumbing graph expands the runs into vertices.  A small planar-lattice
-toolkit at the end gives an independent toric route to the same chains and
-computes how a binomial curve germ meets the chain after resolving; the main
-pipeline uses it only at the last singular point, the tests use it as an
-oracle everywhere.  Every internal check raises ArithmeticError, so it also
-runs under ``python -O``.
+toolkit at the end gives an independent toric route to the same chains; the
+main pipeline uses it only to check the chain at the last singular point,
+the tests use it as an oracle everywhere.  Every internal check raises
+ArithmeticError, so it also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -429,29 +428,3 @@ class PlanarLattice:
                 raise ArithmeticError(f"fan weight {k} is not an integer >= 2")
             ks.append(int(k))
         return tuple(ks)
-
-    def curve_boundary_intersections(self, exp_second: int, exp_first: int):
-        """Intersections of the germ {x2^A = x1^B} with the resolved boundary.
-
-        A = exp_second, B = exp_first.  Returns [(i, m), ...] where i indexes
-        the fan_boundary points (0 = strict transform of {x1 = 0}, r + 1 =
-        strict transform of {x2 = 0}) and m > 0 is the intersection number
-        with that divisor.  The germ must be irreducible here, which holds
-        whenever its defining vector is primitive in the dual lattice.
-        """
-        pts = self.fan_boundary()
-        w = self.primitive_on_ray(exp_second, exp_first)
-        hits = []
-        for i in range(len(pts) - 1):
-            if _cross(pts[i], w) >= 0 and _cross(w, pts[i + 1]) >= 0:
-                det = _cross(pts[i], pts[i + 1])
-                alpha = _cross(w, pts[i + 1]) / det
-                beta = _cross(pts[i], w) / det
-                if alpha.denominator != 1 or beta.denominator != 1:
-                    raise ArithmeticError("curve meets the boundary in a non-integral point")
-                if alpha:
-                    hits.append((i, int(alpha)))
-                if beta:
-                    hits.append((i + 1, int(beta)))
-                return hits
-        raise AssertionError("curve direction outside the first quadrant")

@@ -3,11 +3,11 @@
 A plumbing tree with |det| = 1 and rational vertices collapses, after
 suppressing the valency-2 vertices, to a weighted splice diagram whose edge
 weights are cut determinants; the plumbing graph's integer tree kernel
-gives the chains and, with one rerooting pass, every weight.  This module
-computes that diagram, the
-closed-form diagram the family is expected to produce, linking numbers, the
-semigroup condition with explicit witnesses, and the equations built from
-admissible monomials.
+gives the chains and every weight, a stored subtree determinant below a
+node and one walk to the root above it.  This module computes that
+diagram, the closed-form diagram the family is expected to produce, linking
+numbers, the semigroup condition with explicit witnesses, and the equations
+built from admissible monomials.
 
 The semigroup condition asks that every node-edge weight be a nonnegative
 combination of the linking numbers l' of the leaves beyond the edge

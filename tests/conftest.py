@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 from branchlink.plumbing import PlumbingGraph
+from branchlink.quotient import _cross
 from branchlink.semigroup import derive_from_generators, random_plane_semigroup
 from branchlink.splice import SpliceDiagram
 
@@ -55,6 +56,67 @@ def random_forest(rng, n, components=1):
     perm = list(range(n))
     rng.shuffle(perm)
     return [(perm[i], perm[j]) for i, j in edges]
+
+
+def rerooting_oracle(tree) -> list:
+    """det of the branch above every vertex of a TreeKernel, by one
+    root-to-leaf pass; the oracle for its parent-ward branch_determinant.
+
+    The branch above v is the component of the forest minus v that holds
+    the parent of v.  A branch with pair (D_b, P_b), joined to a vertex by
+    an edge of weight w, acts on that vertex's pair as x*I - y*N with
+    (x, y) = (D_b, w^2*P_b) and N nilpotent, so these actions commute and
+    multiply as (x1*x2, x1*y2 + y1*x2).  The branch above a child c of w is
+    w's pair from every branch at w but c's own: a prefix over the branches
+    before c, starting with the branch above w, times a suffix over those
+    after it.  A root has no branch above it: (1, 0).
+    """
+    D, diag, parent, weight = tree.D, tree.diag, tree.parent, tree.weight
+    Y = [w * w * p for w, p in zip(weight, tree.P)]  # y of each subtree's action
+    children = [[] for _ in D]
+    for v in tree.order:
+        if parent[v] >= 0:
+            children[parent[v]].append(v)
+    above_D = [1] * len(D)
+    above_P = [0] * len(D)
+    for w in tree.order:
+        kids = children[w]
+        if not kids:
+            continue
+        x, y = above_D[w], weight[w] ** 2 * above_P[w]
+        suffix = [(1, 0)]
+        for c in reversed(kids[1:]):
+            sx, sy = suffix[-1]
+            suffix.append((D[c] * sx, D[c] * sy + Y[c] * sx))
+        for c in kids:
+            sx, sy = suffix.pop()
+            px, py = x * sx, x * sy + y * sx
+            above_D[c], above_P[c] = diag[w] * px - py, px
+            x, y = x * D[c], x * Y[c] + y * D[c]
+    return above_D
+
+
+def curve_boundary_intersections(lat, exp_second: int, exp_first: int):
+    """Intersections of the germ {x2^A = x1^B} with the resolved boundary of
+    the PlanarLattice ``lat``, by locating its ray in the fan.
+
+    A = exp_second, B = exp_first.  Returns [(i, m), ...] where i indexes
+    the fan_boundary points (0 = strict transform of {x1 = 0}, r + 1 =
+    strict transform of {x2 = 0}) and m > 0 is the intersection number with
+    that divisor.  The germ must be irreducible here, which holds whenever
+    its defining vector is primitive in the dual lattice.  The oracle for
+    the closed-form arrow of ``assemble_full_resolution``.
+    """
+    pts = lat.fan_boundary()
+    w = lat.primitive_on_ray(exp_second, exp_first)
+    for i in range(len(pts) - 1):
+        if _cross(pts[i], w) >= 0 and _cross(w, pts[i + 1]) >= 0:
+            det = _cross(pts[i], pts[i + 1])
+            alpha = _cross(w, pts[i + 1]) / det
+            beta = _cross(pts[i], w) / det
+            assert alpha.denominator == 1 and beta.denominator == 1
+            return [(j, int(m)) for j, m in ((i, alpha), (i + 1, beta)) if m]
+    raise AssertionError("curve direction outside the first quadrant")
 
 
 def r_direct(a, p, d, l: int) -> Fraction:

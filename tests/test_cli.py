@@ -143,6 +143,13 @@ def test_cli_process_entry_point():
         ["analyze", '{"gens":[1]}'],
         ["bp", "1", "2", "3"],
         ["random", "--g", "1"],
+        ["analyze", '{"generators":[8,12,26,53.7]}'],
+        ["analyze", '{"generators":[true,12,26,53]}'],
+        ["analyze", '{"generators":"8122653"}'],
+        ["random", "--count", "-1"],
+        ["analyze", "8,12,26,53", "--dot", "/dev/null/x.dot"],
+        ["graph", "8,12,26,53", "--dot", "/dev/null/x.dot"],
+        ["splice", "70,105,215,1511", "--dot", "/dev/null/x.dot"],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, capsys):

@@ -7,6 +7,7 @@ import pytest
 from branchlink.semigroup import derive_from_generators, random_plane_semigroup
 from branchlink.qres import compute_qresolution
 from branchlink.detcalc import LinkKind, classify_link, det_S
+from branchlink.quotient import PlanarLattice
 from branchlink.plumbing import (
     NotNegativeDefinite,
     assemble_full_resolution,
@@ -23,6 +24,7 @@ from branchlink.plumbing import (
 from branchlink import _linalg
 from conftest import (
     adjacency,
+    curve_boundary_intersections,
     dense_invariant_factors,
     naive_det,
     plumbing_graph,
@@ -95,6 +97,38 @@ def test_worked_example_pullback_multiplicities():
         assert chain == [8, 10, 12]
     # the strict transform of the curve meets the last curve twice
     assert pg.arrow == ((pg.labels.index("E2.1"), 2),)
+
+
+def fan_walk_arrow(qr, pg):
+    """The arrow located by the planar-lattice fan: index 0 of the walk is
+    E_{g-1}, indices 1..r the P chain read from its tail, and the last index
+    the axis that never enters the graph."""
+    cd, g = qr.cd, qr.g
+    p_pt = next(pt for pt in qr.census if pt.kind == "P")
+    delta = cd.n[g] * cd.beta[g] - cd.n[g - 1] * cd.beta[g - 1]
+    hits = curve_boundary_intersections(
+        PlanarLattice.of(p_pt.raw), exp_second=cd.n[g], exp_first=delta
+    )
+    walk = [pg.strict[g - 2][0]]
+    walk += reversed([v for v, label in enumerate(pg.labels) if label.startswith("P.")])
+    return tuple((walk[i], m) for i, m in hits if i < len(walk))
+
+
+def test_closed_form_arrow_matches_the_fan_walk():
+    rng = random.Random(37)
+    draws = []
+    for i in range(320):
+        g = 2 + i % 6
+        max_n = rng.choice((2, 3, 4, 5) if g <= 4 else (2, 3) if g == 5 else (2,))
+        draws.append(random_plane_semigroup(g, max_n, seed=f"arrow:{i}"))
+    draws += [random_zhs_semigroup(rng.choice([2, 3, 4]), rng) for _ in range(40)]
+    smooth = 0
+    for beta in draws:
+        qr = compute_qresolution(derive_from_generators(beta))
+        pg = assemble_full_resolution(qr)
+        assert pg.arrow == fan_walk_arrow(qr, pg)
+        smooth += pg.arrow[0][0] == pg.strict[qr.g - 2][0]
+    assert 0 < smooth < len(draws)
 
 
 def test_strict_transform_vertices_are_marked():

@@ -18,7 +18,7 @@ from branchlink.quotient import (
     reduce_two_row,
     to_hj,
 )
-from conftest import hj_kappas_oracle, naive_det
+from conftest import curve_boundary_intersections, hj_kappas_oracle, naive_det
 
 
 def chain_matrix(kappas):
@@ -249,7 +249,7 @@ def test_lattice_curve_attachment_smooth_chart():
     # {x2^2 = x1^54} on the chart of type (2; -1, 26): meets the first-axis
     # divisor twice, corresponding to the worked example's curve at P
     lat = PlanarLattice.of(CyclicType(2, -1, 26))
-    hits = lat.curve_boundary_intersections(exp_second=2, exp_first=54)
+    hits = curve_boundary_intersections(lat, exp_second=2, exp_first=54)
     assert hits == [(0, 2), (1, 27)]
 
 
@@ -257,5 +257,5 @@ def test_lattice_curve_attachment_singular_chart():
     # type (2; -1, 15) resolves to a single -2 curve; {x2^2 = x1^32} meets it
     lat = PlanarLattice.of(CyclicType(2, -1, 15))
     assert lat.chain_kappas_from_first_axis() == (2,)
-    hits = lat.curve_boundary_intersections(exp_second=2, exp_first=32)
+    hits = curve_boundary_intersections(lat, exp_second=2, exp_first=32)
     assert hits == [(1, 2), (2, 15)]

@@ -30,6 +30,7 @@ from conftest import (
     plumbing_graph,
     random_forest,
     random_zhs_semigroup,
+    rerooting_oracle,
 )
 
 
@@ -163,6 +164,41 @@ def test_cut_determinants_match_fraction_oracle_on_zhs_graphs():
                 assert abs(tree.branch_determinant(v, u)) == oracle_cut_determinant(pg, v, u)
                 pairs += 1
     assert pairs >= 60
+
+
+def test_parent_ward_walk_matches_rerooting_oracle_at_scale():
+    # weighted forests beyond naive_det's reach, every fifth a long path
+    # rooted at a random vertex; Fraction weights grow, so those stay smaller
+    rng = random.Random(29)
+    cases = []
+    for i in range(40):
+        unit = i % 2 == 0
+        n = rng.randint(100, 300 if unit else 150)
+        if i % 5 == 0:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shape = list(zip(perm, perm[1:]))
+        else:
+            shape = random_forest(rng, n, rng.randint(1, 3))
+        edges = [(a, b, 1 if unit else rng.choice(WEIGHTS)) for a, b in shape]
+        cases.append(([rng.randint(-3, 1) for _ in range(n)], edges))
+    # the family graphs of test_cut_determinants_equal_closed_form_weights
+    rng = random.Random(61)
+    for _ in range(12):
+        g = rng.choice([3, 4])
+        pg = assemble_full_resolution(
+            compute_qresolution(derive_from_generators(random_zhs_semigroup(g, rng)))
+        )
+        cases.append((pg.self_int, [(i, j, 1) for i, j in pg.edges]))
+    zero_pivots = 0
+    for diag, edges in cases:
+        tree = TreeKernel(diag, edges)
+        above = rerooting_oracle(tree)
+        for v, u in enumerate(tree.parent):
+            if u >= 0:
+                assert tree.branch_determinant(v, u) == above[v]
+        zero_pivots += 0 in tree.D
+    assert zero_pivots >= 10
 
 
 def test_pullback_matches_fraction_oracle_on_seeded_graphs():
