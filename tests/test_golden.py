@@ -11,6 +11,11 @@ draws with g = 2..6, through ``analyze --json`` with and without
 ``analyze --dot PATH`` writes for the two PAPER.md examples, with and
 without ``--minimize``, recorded while ``--dot`` still assembled the graph
 a second time.
+``golden_text_digests.json`` holds digests recorded before the census
+chains were assembled by one incidence rule and before ``splice`` stopped
+building the whole ``analyze`` report: the stdout of plain-text
+``analyze`` and ``splice``, of ``graph`` with and without ``--minimize``,
+and (argv with ``PATH``) the file ``splice --dot PATH`` writes.
 """
 
 import contextlib
@@ -25,6 +30,9 @@ from branchlink.cli import main
 
 GOLDEN = json.loads((pathlib.Path(__file__).with_name("golden_digests.json")).read_text())
 GOLDEN_DOT = json.loads((pathlib.Path(__file__).with_name("golden_dot_digests.json")).read_text())
+GOLDEN_TEXT = json.loads((pathlib.Path(__file__).with_name("golden_text_digests.json")).read_text())
+STDOUT_CASES = GOLDEN + [case for case in GOLDEN_TEXT if "PATH" not in case["argv"]]
+FILE_CASES = GOLDEN_DOT + [case for case in GOLDEN_TEXT if "PATH" in case["argv"]]
 
 
 def cli_digest(argv) -> str:
@@ -34,12 +42,12 @@ def cli_digest(argv) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+@pytest.mark.parametrize("case", STDOUT_CASES, ids=lambda case: " ".join(case["argv"]))
 def test_cli_output_matches_golden_digest(case):
     assert cli_digest(case["argv"]) == case["sha256"]
 
 
-@pytest.mark.parametrize("case", GOLDEN_DOT, ids=lambda case: " ".join(case["argv"]))
+@pytest.mark.parametrize("case", FILE_CASES, ids=lambda case: " ".join(case["argv"]))
 def test_dot_file_matches_golden_digest(case, tmp_path):
     path = tmp_path / "graph.dot"
     argv = [str(path) if arg == "PATH" else arg for arg in case["argv"]]
