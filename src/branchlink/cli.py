@@ -79,6 +79,53 @@ def _write_dot(path, text: str) -> None:
         raise InvalidInput(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _checked_graph(qr, link):
+    """The full plumbing graph, its topological class checked against the
+    gcd class ``link``."""
+    graph = pl.assemble_full_resolution(qr)
+    if pl.classify_topologically(graph).kind != link.kind:
+        raise ArithmeticError("classifier routes disagree")
+    return graph
+
+
+def _splice_section(cd, graph) -> tuple[dict, sp.SpliceDiagram]:
+    """The splice part of a report for an integral homology sphere link.
+
+    Checks the diagram read off the plumbing graph against the closed-form
+    one and the semigroup condition on the latter; returns the rendered
+    section and the closed-form diagram.
+    """
+    sd = sp.splice_from_plumbing(graph)
+    expected = sp.expected_splice_diagram(cd)
+    if not sp.diagrams_isomorphic(sd, expected):
+        raise ArithmeticError("splice diagram mismatch")
+    eqs = sp.splice_equations(expected, cd)
+    semi = sp.check_semigroup_condition(expected)
+    if not semi.satisfied:
+        raise ArithmeticError("semigroup condition fails on the closed-form diagram")
+    section = {
+        "nodes": [expected.labels[v] for v in sorted(expected.nodes)],
+        "leaves": [expected.labels[v] for v in sorted(expected.leaves)],
+        "weights": {
+            f"{expected.labels[v]}->{expected.labels[u]}": w
+            for (v, u), w in sorted(expected.weights.items())
+        },
+        "edge_determinants": [w for _, w in sorted(sp.edge_determinants(expected).items())],
+        "equations": eqs.render(),
+        "semigroup_condition": [
+            {
+                "node": expected.labels[e.node],
+                "toward": expected.labels[e.toward],
+                "weight": e.weight,
+                "lprimes": list(e.lprimes),
+                "alphas": list(e.alphas),
+            }
+            for e in semi.entries
+        ],
+    }
+    return section, expected
+
+
 def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict:
     """Full analysis report; every dual-route check runs on the way.
 
@@ -146,10 +193,7 @@ def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict
         "noncoprime_pairs": [list(t) for t in link.noncoprime_pairs],
     }
 
-    graph = pl.assemble_full_resolution(qr)
-    topo = pl.classify_topologically(graph)
-    if topo.kind != link.kind:
-        raise ArithmeticError("classifier routes disagree")
+    graph = _checked_graph(qr, link)
     h1 = pl.h1_link(graph)
     if h1.torsion_order != dets["detS"]:
         raise ArithmeticError("torsion order is not det(S)")
@@ -180,36 +224,7 @@ def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict
         }
 
     if link.is_zhs:
-        sd = sp.splice_from_plumbing(graph)
-        expected = sp.expected_splice_diagram(cd)
-        if not sp.diagrams_isomorphic(sd, expected):
-            raise ArithmeticError("splice diagram mismatch")
-        eqs = sp.splice_equations(expected, cd)
-        semi = sp.check_semigroup_condition(expected)
-        if not semi.satisfied:
-            raise ArithmeticError("semigroup condition fails on the closed-form diagram")
-        report["splice"] = {
-            "nodes": [expected.labels[v] for v in sorted(expected.nodes)],
-            "leaves": [expected.labels[v] for v in sorted(expected.leaves)],
-            "weights": {
-                f"{expected.labels[v]}->{expected.labels[u]}": w
-                for (v, u), w in sorted(expected.weights.items())
-            },
-            "edge_determinants": [
-                w for _, w in sorted(sp.edge_determinants(expected).items())
-            ],
-            "equations": eqs.render(),
-            "semigroup_condition": [
-                {
-                    "node": expected.labels[e.node],
-                    "toward": expected.labels[e.toward],
-                    "weight": e.weight,
-                    "lprimes": list(e.lprimes),
-                    "alphas": list(e.alphas),
-                }
-                for e in semi.entries
-            ],
-        }
+        report["splice"], _ = _splice_section(cd, graph)
     if dot_path:
         _write_dot(dot_path, pl.to_dot(drawn))
     return report
@@ -312,10 +327,10 @@ def cmd_splice(args) -> int:
     if not link.is_zhs:
         print(f"link class is {link.kind.value}; no splice diagram", file=sys.stderr)
         return 0
-    report = build_report(generators)
-    payload = report["splice"]
+    graph = _checked_graph(compute_qresolution(cd), link)
+    payload, diagram = _splice_section(cd, graph)
     if args.dot:
-        _write_dot(args.dot, _splice_dot(sp.expected_splice_diagram(cd)))
+        _write_dot(args.dot, _splice_dot(diagram))
     if args.json:
         json.dump(_enc(payload), sys.stdout, indent=2)
         print()
@@ -417,7 +432,14 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ArithmeticError, pl.NotNegativeDefinite, pl.NotATree) as exc:
+    except (
+        AssertionError,
+        ArithmeticError,
+        pl.NotNegativeDefinite,
+        pl.NotATree,
+        sp.ENViolation,
+        sp.SemigroupConditionFails,
+    ) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -89,32 +89,13 @@ def det_exact(m: _linalg.TreeKernel) -> Fraction:
     return m.det
 
 
-@dataclass(frozen=True)
-class RSequence:
-    """The sequence R_0, R_1, ..., built from (a_k), (p_k), (d_{k(k+1)}).
+def r_sequence(a, p, d) -> tuple[Fraction, ...]:
+    """(R_0, ..., R_m) for self-intersections a[1..m], ratios p[1..m-1], orders d[1..m-1].
 
-    values[l] = R_l, from the recurrence -R_{l+1} = -a_{l+1} R_l +
-    p_l R_{l-1} / d_{l(l+1)}^2.
+    R_0 = 1, R_1 = a_1 and R_{l+1} = a_{l+1} R_l - p_l R_{l-1} / d_{l(l+1)}^2.
+    Inputs are 1-indexed sequences of ints or Fractions (index 0 ignored);
+    raises MismatchedLengths when the lengths disagree.
     """
-
-    a: tuple[Fraction, ...]
-    p: tuple[Fraction, ...]
-    d: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, l: int) -> Fraction:
-        return self.values[l]
-
-
-def r_sequence(a, p, d) -> RSequence:
-    """R-sequence for self-intersections a[1..m], ratios p[1..m-1], orders d[1..m-1].
-
-    Inputs are 1-indexed sequences (index 0 ignored); raises
-    MismatchedLengths when the lengths disagree.
-    """
-    a = tuple(Fraction(x) for x in a)
-    p = tuple(Fraction(x) for x in p)
-    d = tuple(Fraction(x) for x in d)
     m = len(a) - 1
     if len(p) != m or len(d) != m:
         raise MismatchedLengths(
@@ -123,19 +104,10 @@ def r_sequence(a, p, d) -> RSequence:
         )
     values = [Fraction(1)]
     if m >= 1:
-        values.append(a[1])
+        values.append(Fraction(a[1]))
     for l in range(1, m):
-        nxt = a[l + 1] * values[l] - p[l] * values[l - 1] / d[l] ** 2
-        values.append(nxt)
-    return RSequence(a=a, p=p, d=d, values=tuple(values))
-
-
-def _qr_r_sequence(qr: QResolutionData) -> RSequence:
-    g = qr.g
-    a = (Fraction(0),) + qr.a[1:]
-    p = (Fraction(0),) + tuple(Fraction(x) for x in qr.p[1:])
-    d = (Fraction(0),) + tuple(Fraction(x) for x in qr.d_edge[1:])
-    return r_sequence(a, p, d)
+        values.append(a[l + 1] * values[l] - p[l] * values[l - 1] / d[l] ** 2)
+    return tuple(values)
 
 
 _CLOSED_FORM = "_det_closed_form"  # where det_closed_form keeps its value on qr
@@ -160,7 +132,7 @@ def det_closed_form(qr: QResolutionData) -> Fraction:
 
 def _det_closed_form(qr: QResolutionData) -> Fraction:
     g = qr.g
-    R = _qr_r_sequence(qr)
+    R = r_sequence(qr.a, qr.p, qr.d_edge)
     sign = (-1) ** sum(qr.r[1:])
     det = sign * R[g - 1]
     for l in range(1, g - 1):

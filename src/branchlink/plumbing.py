@@ -78,12 +78,15 @@ class PlumbingGraph:
 def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:
     """Expand the census chains into the full decorated dual graph.
 
-    Chain orientation follows the quotient-module convention: at each point
-    the curve sitting on coordinate slot 1 meets the last vertex of the
-    chain, the slot-2 curve meets the first.  Integral strict-transform
-    self-intersections are a consequence of that convention being the right
-    one; a fractional value raises NonIntegralSelfIntersection.  This is the
-    only layer that expands the run-length chains, one vertex per term.
+    The strict transforms come first, level by level, then the copies of
+    each census point in census order, glued to them by the incidence rule
+    of ``qres.CensusPoint``.  Per copy the edges are the chain's own, then
+    (slot-2 curve, first vertex), then (last vertex, slot-1 curve); a
+    smooth copy only joins its two curves, if it has two.  Integral
+    strict-transform self-intersections are a consequence of that rule
+    being the right one; a fractional value raises
+    NonIntegralSelfIntersection.  This is the only layer that expands the
+    run-length chains, one vertex per term.
     """
     g = qr.g
     genus: list[int] = []
@@ -103,61 +106,32 @@ def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:
         self_int.extend([int(e2)] * qr.r[k])
         labels.extend(f"E{k}.{j + 1}" for j in range(qr.r[k]))
 
-    def add_chain(chain, label, head_vid=None, tail_vid=None) -> range:
-        """Vertices of one bamboo, a whole run at a time in chain order; link
-        the given ends."""
-        start = len(labels)
-        for kappa, count in chain.runs:
-            self_int.extend([-kappa] * count)
-        vids = range(start, len(self_int))
-        genus.extend([0] * len(vids))
-        labels.extend(f"{label}.{i + 1}" for i in range(len(vids)))
-        edges.extend(zip(vids, vids[1:]))
-        if vids:
-            if head_vid is not None:
-                edges.append((head_vid, start))
-            if tail_vid is not None:
-                edges.append((vids[-1], tail_vid))
-        elif head_vid is not None and tail_vid is not None:
-            edges.append((head_vid, tail_vid))
-        return vids
-
-    p_chain_vids = range(0)
+    starts = []  # the first vid of each census point's chains
     for pt in qr.census:
-        if pt.kind == "Q0":
-            # the level-1 curve is on slot 2: it meets the chain head
-            for j in range(qr.r[1]):
-                for c in range(pt.per_component):
-                    if pt.is_smooth:
-                        continue
-                    add_chain(pt.chain, f"Q0[{j + 1}.{c + 1}]", head_vid=strict[0][j])
-        elif pt.kind == "Q":
-            k = pt.level
-            for j in range(qr.r[k]):
-                for c in range(pt.per_component):
-                    if pt.is_smooth:
-                        continue
-                    add_chain(
-                        pt.chain, f"Q{k}[{j + 1}.{c + 1}]", tail_vid=strict[k - 1][j]
-                    )
-        elif pt.kind == "edge":
-            k = pt.level
-            for j2 in range(qr.r[k + 1]):
-                for t in range(qr.p[k]):
-                    j1 = j2 * qr.p[k] + t
-                    add_chain(
-                        pt.chain,
-                        f"Q{k}{k + 1}[{j1 + 1}]",
-                        head_vid=strict[k][j2],
-                        tail_vid=strict[k - 1][j1],
-                    )
-        elif pt.kind == "P":
-            if not pt.is_smooth:
-                p_chain_vids = add_chain(pt.chain, "P", tail_vid=strict[g - 2][0])
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown census kind {pt.kind}")
+        starts.append(len(labels))
+        if pt.is_smooth and len(pt.curves) == 1:
+            continue
+        # (slot, strict vids of the level, copies per component)
+        incident = [(slot, strict[k - 1], pt.total // qr.r[k]) for k, slot in pt.curves]
+        for c in range(pt.total):
+            at = {slot: level[c // per] for slot, level, per in incident}
+            if pt.is_smooth:
+                edges.append((at[2], at[1]))
+                continue
+            start = len(labels)
+            for kappa, count in pt.chain.runs:
+                self_int.extend([-kappa] * count)
+            vids = range(start, len(self_int))
+            name = _chain_name(pt, c)
+            genus.extend([0] * len(vids))
+            labels.extend(f"{name}.{i + 1}" for i in range(len(vids)))
+            edges.extend(zip(vids, vids[1:]))
+            if 2 in at:
+                edges.append((at[2], start))
+            if 1 in at:
+                edges.append((vids[-1], at[1]))
 
-    arrow = _locate_arrow(qr, strict[g - 2][0], p_chain_vids)
+    arrow = _locate_arrow(qr, strict[g - 2][0], starts)
     return PlumbingGraph(
         genus=tuple(genus),
         self_int=tuple(self_int),
@@ -168,7 +142,18 @@ def assemble_full_resolution(qr: QResolutionData) -> PlumbingGraph:
     )
 
 
-def _locate_arrow(qr, last_strict_vid, p_chain_vids) -> tuple[tuple[int, int], ...]:
+def _chain_name(pt, c: int) -> str:
+    """Label stem of copy c of a census point's chain: Q0[j.i] and Qk[j.i]
+    (copy i on component j), Qk(k+1)[c] and P."""
+    if pt.kind == "P":
+        return "P"
+    if pt.kind == "edge":
+        return f"Q{pt.level}{pt.level + 1}[{c + 1}]"
+    j, i = divmod(c, pt.per_component)
+    return f"Q{pt.level}[{j + 1}.{i + 1}]"
+
+
+def _locate_arrow(qr, last_strict_vid, starts) -> tuple[tuple[int, int], ...]:
     """Where the strict transform of the curve meets the resolved graph.
 
     Once, with multiplicity n_g, at the head of the P chain, or at E_{g-1}
@@ -192,14 +177,14 @@ def _locate_arrow(qr, last_strict_vid, p_chain_vids) -> tuple[tuple[int, int], .
     So the curve meets the fan point next to the axis n_g times, and the
     axis, which never enters the graph, elsewhere.  The fan is read from
     E_{g-1}, and the P chain hangs off E_{g-1} by its tail, so that point is
-    the chain's head, or E_{g-1} itself when the chain is empty.  The fan
-    walk still checks the chain.
+    the chain's head, the first vid ``starts`` records for P, or E_{g-1}
+    itself when the chain is empty.  The fan walk still checks the chain.
     """
-    p_pt = next(pt for pt in qr.census if pt.kind == "P")
+    i, p_pt = next((i, pt) for i, pt in enumerate(qr.census) if pt.kind == "P")
     walked = PlanarLattice.of(p_pt.raw).chain_kappas_from_first_axis()
     if walked != tuple(reversed(p_pt.chain.kappas)):
         raise ArithmeticError("fan walk disagrees with chain")
-    return ((p_chain_vids[0] if p_chain_vids else last_strict_vid, qr.cd.n[qr.g]),)
+    return ((last_strict_vid if p_pt.is_smooth else starts[i], qr.cd.n[qr.g]),)
 
 
 def integer_intersection_matrix(pg: PlumbingGraph) -> list[list[int]]:
@@ -308,18 +293,18 @@ def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:
     input graph is left untouched; |det| is invariant under the pass.  The
     arrow is dropped: the minimal model is a statement about the surface
     only, and the curve data does not survive contractions unchanged.
+    Raises NotATree unless the graph is a forest: blowing down a vertex on
+    a cycle can leave two curves that meet twice, which an edge list of
+    simple edges cannot record.
     """
+    pg.tree_kernel()
     genus, labels = pg.genus, pg.labels
     self_int = list(pg.self_int)
     alive = [True] * pg.n
     adj = [set() for _ in range(pg.n)]
-    loops = set()
     for i, j in pg.edges:
-        if i == j:
-            loops.add(i)
-        else:
-            adj[i].add(j)
-            adj[j].add(i)
+        adj[i].add(j)
+        adj[j].add(i)
 
     def eligible(vid) -> bool:
         return alive[vid] and genus[vid] == 0 and self_int[vid] == -1 and len(adj[vid]) <= 2
@@ -335,7 +320,6 @@ def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:
             continue
         contracted.append(labels[vid])
         alive[vid] = False
-        loops.discard(vid)
         nbrs, adj[vid] = adj[vid], set()
         for u in nbrs:
             adj[u].discard(vid)
@@ -349,7 +333,7 @@ def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:
                 heapq.heappush(heap, u)
     keep = [vid for vid in range(pg.n) if alive[vid]]
     relabel = {old: new for new, old in enumerate(keep)}
-    edges = [(i, j) for i in keep for j in adj[i] if i < j] + [(i, i) for i in loops]
+    edges = [(i, j) for i in keep for j in adj[i] if i < j]
     new_strict = tuple(
         tuple(relabel[vid] for vid in level if vid in relabel) for level in pg.strict
     )

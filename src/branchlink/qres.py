@@ -49,9 +49,17 @@ class CensusPoint:
 
     curves lists the incident exceptional levels with their coordinate slot
     in the local type: slot 1 means the curve is cut out by the first local
-    coordinate, slot 2 by the second.  Orientation of `chain` follows
-    BambooChain: the slot-2 curve meets its first vertex, the slot-1 curve
-    its last.
+    coordinate, slot 2 by the second.  The class has `total` points, and
+    one incidence rule glues them all: copy c = 0, ..., total - 1 lies on
+    component c // (total / r_k) of each level k in curves, so every
+    component of level k carries total / r_k of them, and the chain of a
+    copy (oriented as in ``quotient.BambooChain``) meets the slot-2 curve
+    at its first vertex and the slot-1 curve at its last.  A smooth point
+    has an empty chain: with two curves they meet there transversally.
+    ``plumbing.assemble_full_resolution`` builds the graph by this rule and
+    ``strict_self_intersection`` subtracts its corrections by it.
+    per_component is total / r_level for Q0 (of r_1), Q and P points, and
+    p_k = total / r_(k+1) for edge points.
     """
 
     kind: str
@@ -78,13 +86,6 @@ class CensusPoint:
             if level == k:
                 num = axis_corrections(self.hj)[slot - 1]
                 return Fraction(num, self.hj.d)
-        raise KeyError(f"level {k} does not pass through this point")
-
-    def chain_end_for_level(self, k: int) -> int:
-        """Index of the chain vertex (in chain.kappas order) meeting the level-k curve."""
-        for level, slot in self.curves:
-            if level == k:
-                return 0 if slot == 2 else len(self.chain) - 1
         raise KeyError(f"level {k} does not pass through this point")
 
 
@@ -327,19 +328,15 @@ def _check_euler_accounting(qr: QResolutionData) -> None:
 def strict_self_intersection(qr: QResolutionData, k: int) -> Fraction:
     """Self-intersection of the level-k strict transform after resolving.
 
-    Subtracts, from the rational self-intersection -a_k, one chain-end
-    correction per singular point on a component.  Integrality of the result
-    is the calibration check for the chain orientation convention.
+    Subtracts, from the rational self-intersection -a_k, the chain-end
+    correction of each of the total / r_k points of a class that lie on one
+    component (the incidence rule of CensusPoint).  Integrality of the
+    result is the calibration check for the chain orientation convention.
     """
     total = -qr.a[k]
     for pt in qr.points_on_level(k):
-        if pt.is_smooth:
-            continue
-        if pt.kind == "edge":
-            count = pt.per_component if k == pt.level + 1 else 1
-        else:
-            count = pt.per_component
-        total -= count * pt.correction_for_level(k)
+        if not pt.is_smooth:
+            total -= pt.total // qr.r[k] * pt.correction_for_level(k)
     return total
 
 
@@ -377,9 +374,7 @@ def rupture_census(qr: QResolutionData) -> RuptureCensus:
     # transforms; it contracts iff it is rational with self-intersection -1
     # and carries no further chains.
     dangling = any(
-        not pt.is_smooth
-        for pt in qr.points_on_level(g - 1)
-        if pt.kind in ("Q", "P")
+        not pt.is_smooth and len(pt.curves) == 1 for pt in qr.points_on_level(g - 1)
     )
     contractible = (
         qr.genus[g - 1] == 0

@@ -82,8 +82,10 @@ class BambooChain:
     first, stored as runs ((kappa, count), ...) with adjacent kappas
     distinct and every count >= 1.  The first end of the chain meets the
     strict transform of the weight-q axis {x2 = 0}; the last end meets the
-    weight-1 axis {x1 = 0}.  Dropping the first vertex leaves a chain of
-    determinant q, dropping the last leaves q'.
+    weight-1 axis {x1 = 0}.  ``qres.CensusPoint`` turns this orientation
+    into the incidence rule that glues the census chains to the exceptional
+    curves.  Dropping the first vertex leaves a chain of determinant q,
+    dropping the last leaves q'.
     """
 
     runs: tuple[tuple[int, int], ...]

@@ -276,6 +276,89 @@ def plumbing_graph(self_int, edges, genus=None):
     )
 
 
+def assembly_oracle(qr) -> PlumbingGraph:
+    """The full plumbing graph by one branch per census kind.
+
+    The per-kind assembly that ``plumbing.assemble_full_resolution``
+    replaced, with its per-kind count of strict-transform corrections:
+    Q0 chains hang off level 1 by their head, Q and P chains off their
+    level by their tail, and edge chains join level k+1 (head) to level k
+    (tail), p_k of them per level-(k+1) component.
+    """
+    g = qr.g
+    genus, self_int, labels, edges, strict = [], [], [], [], []
+    for k in range(1, g):
+        e2 = -qr.a[k]
+        for pt in qr.points_on_level(k):
+            if pt.is_smooth:
+                continue
+            if pt.kind == "edge":
+                count = pt.per_component if k == pt.level + 1 else 1
+            else:
+                count = pt.per_component
+            e2 -= count * pt.correction_for_level(k)
+        assert e2.denominator == 1
+        strict.append(range(len(labels), len(labels) + qr.r[k]))
+        genus.extend([qr.genus[k]] * qr.r[k])
+        self_int.extend([int(e2)] * qr.r[k])
+        labels.extend(f"E{k}.{j + 1}" for j in range(qr.r[k]))
+
+    def add_chain(chain, label, head_vid=None, tail_vid=None) -> range:
+        start = len(labels)
+        self_int.extend(-kappa for kappa in chain.kappas)
+        vids = range(start, len(self_int))
+        genus.extend([0] * len(vids))
+        labels.extend(f"{label}.{i + 1}" for i in range(len(vids)))
+        edges.extend(zip(vids, vids[1:]))
+        if vids:
+            if head_vid is not None:
+                edges.append((head_vid, start))
+            if tail_vid is not None:
+                edges.append((vids[-1], tail_vid))
+        elif head_vid is not None and tail_vid is not None:
+            edges.append((head_vid, tail_vid))
+        return vids
+
+    p_chain_vids = range(0)
+    for pt in qr.census:
+        if pt.kind == "Q0":
+            for j in range(qr.r[1]):
+                for c in range(pt.per_component):
+                    if not pt.is_smooth:
+                        add_chain(pt.chain, f"Q0[{j + 1}.{c + 1}]", head_vid=strict[0][j])
+        elif pt.kind == "Q":
+            k = pt.level
+            for j in range(qr.r[k]):
+                for c in range(pt.per_component):
+                    if not pt.is_smooth:
+                        add_chain(pt.chain, f"Q{k}[{j + 1}.{c + 1}]", tail_vid=strict[k - 1][j])
+        elif pt.kind == "edge":
+            k = pt.level
+            for j2 in range(qr.r[k + 1]):
+                for t in range(qr.p[k]):
+                    j1 = j2 * qr.p[k] + t
+                    add_chain(
+                        pt.chain,
+                        f"Q{k}{k + 1}[{j1 + 1}]",
+                        head_vid=strict[k][j2],
+                        tail_vid=strict[k - 1][j1],
+                    )
+        elif pt.kind == "P":
+            if not pt.is_smooth:
+                p_chain_vids = add_chain(pt.chain, "P", tail_vid=strict[g - 2][0])
+        else:
+            raise AssertionError(f"unknown census kind {pt.kind}")
+    arrow_vid = p_chain_vids[0] if p_chain_vids else strict[g - 2][0]
+    return PlumbingGraph(
+        genus=tuple(genus),
+        self_int=tuple(self_int),
+        labels=tuple(labels),
+        edges=tuple(edges),
+        strict=tuple(tuple(vs) for vs in strict),
+        arrow=((arrow_vid, qr.cd.n[g]),),
+    )
+
+
 def adjacency(pg) -> dict[int, list[int]]:
     """Neighbour lists of pg, built from its edge list alone."""
     adj = {v: [] for v in range(pg.n)}

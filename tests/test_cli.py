@@ -283,3 +283,66 @@ def test_parser_is_built_once_and_handlers_are_found_at_call_time(monkeypatch, c
     assert seen == [7]
     assert len(built) == 1
     assert "ZHS" in capsys.readouterr().out
+
+
+def test_splice_computes_only_what_it_prints(monkeypatch, capsys):
+    from collections import Counter
+
+    from branchlink import cli
+
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for name in (
+        "derive_from_generators",
+        "compute_qresolution",
+        "classify_link",
+        "build_intersection_matrix",
+        "det_closed_form",
+        "det_S",
+    ):
+        count(cli, name)
+    for name in (
+        "assemble_full_resolution",
+        "h1_link",
+        "pullback_on_full_resolution",
+        "to_json_dict",
+        "minimize",
+    ):
+        count(cli.pl, name)
+    assert main(["splice", "70,105,215,1511", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["equations"]
+    assert dict(calls) == {
+        "derive_from_generators": 1,
+        "classify_link": 1,
+        "compute_qresolution": 1,
+        "assemble_full_resolution": 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("verify_en_conditions", "ENViolation"),
+        ("splice_equations", "SemigroupConditionFails"),
+    ],
+)
+def test_splice_internal_errors_exit_1_with_one_line(name, error, monkeypatch, capsys):
+    from branchlink import splice
+
+    def fail(*args):
+        raise getattr(splice, error)(f"forced {name}")
+
+    monkeypatch.setattr(splice, name, fail)
+    assert main(["splice", "70,105,215,1511", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: forced {name}\n"

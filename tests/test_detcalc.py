@@ -185,9 +185,7 @@ def test_head_chain_identity_at_first_collapse_level():
         if not 2 <= t <= g - 2:
             continue
         found += 1
-        from branchlink.detcalc import _qr_r_sequence
-
-        Rseq = _qr_r_sequence(qr)
+        Rseq = r_sequence(qr.a, qr.p, qr.d_edge)
         tail_t, _ = det_b_matrices(qr, t)
         tail_t1, _ = det_b_matrices(qr, t + 1)
         lhs = Rseq[t - 1] * tail_t + Fraction(qr.p[t - 1] * Rseq[t - 2], qr.d_edge[t - 1] ** 2) * tail_t1

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from branchlink.semigroup import derive_from_generators, random_plane_semigroup
 from branchlink.qres import compute_qresolution
 from branchlink.detcalc import LinkKind, classify_link, det_S
-from branchlink.quotient import PlanarLattice
+from branchlink.quotient import BambooChain, HJType, PlanarLattice
 from branchlink.plumbing import (
     NotNegativeDefinite,
     assemble_full_resolution,
@@ -24,6 +25,7 @@ from branchlink.plumbing import (
 from branchlink import _linalg
 from conftest import (
     adjacency,
+    assembly_oracle,
     curve_boundary_intersections,
     dense_invariant_factors,
     naive_det,
@@ -129,6 +131,44 @@ def test_closed_form_arrow_matches_the_fan_walk():
         assert pg.arrow == fan_walk_arrow(qr, pg)
         smooth += pg.arrow[0][0] == pg.strict[qr.g - 2][0]
     assert 0 < smooth < len(draws)
+
+
+def test_assembly_by_one_incidence_rule_matches_the_per_kind_oracle():
+    rng = random.Random(41)
+    draws = []
+    for i in range(240):
+        g = 2 + i % 6
+        max_n = rng.choice((2, 3, 4, 5) if g <= 4 else (2, 3) if g == 5 else (2,))
+        draws.append(random_plane_semigroup(g, max_n, seed=f"incidence:{i}"))
+    draws += [random_zhs_semigroup(rng.choice([2, 3, 4]), rng) for _ in range(30)]
+    seen = {"smooth Q": 0, "edge": 0, "smooth P": 0, "genus": 0, "smoothed edge": 0}
+    for beta in draws:
+        qr = compute_qresolution(derive_from_generators(beta))
+        assert assemble_full_resolution(qr) == assembly_oracle(qr)
+        seen["smooth Q"] += any(pt.is_smooth for pt in qr.points("Q"))
+        seen["edge"] += bool(qr.points("edge"))
+        seen["smooth P"] += qr.points("P")[0].is_smooth
+        seen["genus"] += any(qr.genus)
+        if qr.g >= 3 and seen["smoothed edge"] < 40:
+            # no valid semigroup seems to have a smooth edge point, so make
+            # one: its two curves then meet transversally, copy by copy
+            smoothed = with_smooth_edge(qr)
+            assert assemble_full_resolution(smoothed) == assembly_oracle(smoothed)
+            seen["smoothed edge"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def with_smooth_edge(qr):
+    """qr with its first edge point made smooth and each a_k it meets moved
+    by the correction the point no longer takes, so that the strict
+    transforms keep their self-intersections."""
+    edge = qr.points("edge")[0]
+    a = list(qr.a)
+    a[edge.level] += edge.correction_for_level(edge.level)
+    a[edge.level + 1] += edge.per_component * edge.correction_for_level(edge.level + 1)
+    smooth = replace(edge, hj=HJType(1, 0, 0), chain=BambooChain(()))
+    census = tuple(smooth if pt is edge else pt for pt in qr.census)
+    return replace(qr, a=tuple(a), census=census)
 
 
 def test_strict_transform_vertices_are_marked():

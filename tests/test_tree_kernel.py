@@ -231,6 +231,18 @@ def test_graph_with_a_cycle_raises_not_a_tree():
         TreeKernel([-2], [(0, 0, 1)])  # so is a loop
 
 
+@pytest.mark.parametrize(
+    "self_int, edges",
+    [
+        ([-1, -3, -3], [(0, 1), (0, 2), (1, 2)]),  # blowing down v0 leaves a double edge
+        ([-1, -2], [(0, 1), (1, 1)]),  # a loop
+    ],
+)
+def test_minimize_refuses_graphs_that_are_not_forests(self_int, edges):
+    with pytest.raises(NotATree):
+        minimize(plumbing_graph(self_int, edges))
+
+
 def test_h1_rejects_zero_pivot_graph():
     pg = plumbing_graph([-1] * 3, [(0, 1), (1, 2)])
     assert graph_determinant(pg) == 1
