@@ -13,7 +13,7 @@ Each benchmark checks its witness, so a fast wrong search fails.
 import pytest
 
 from branchlink.semigroup import derive_from_generators
-from branchlink.splice import _lex_min_combination, expected_splice_diagram, linking_numbers
+from branchlink.splice import _lex_min_combination, expected_splice_diagram
 
 GENERATORS = {
     "criterion_8": (85085, 150535, 1961120, 21573153, 107865779, 1833718246),
@@ -26,7 +26,7 @@ WEIGHTS = {"criterion_8": 15409397, "zhs_splice": 885072}
 def query(request):
     sd = expected_splice_diagram(derive_from_generators(GENERATORS[request.param]))
     (v, u) = max(sd.weights, key=sd.weights.get)
-    lprimes = tuple(linking_numbers(sd, v, w)[1] for w in sd.leaves_beyond(v, u))
+    _, lprimes = zip(*sd.beyond(v, u))
     assert sd.weights[(v, u)] == WEIGHTS[request.param]
     return sd.weights[(v, u)], lprimes
 

@@ -129,7 +129,7 @@ class TreeKernel:
         self.roots = roots
         self.D = D
         self.P = P
-        self._children = None  # built by the first parent-ward branch_determinant
+        self._child_ranges = None  # built by the first child_ranges()
 
     @property
     def det(self):
@@ -140,6 +140,26 @@ class TreeKernel:
         """Every leaf-first pivot D[v]/P[v] is negative, with P[v] != 0."""
         return all(d < 0 < p or p < 0 < d for d, p in zip(self.D, self.P))
 
+    def child_ranges(self) -> tuple[list[int], list[int]]:
+        """(first, stop) such that the children of v are order[first[v]:stop[v]].
+
+        The BFS appends the children of each vertex together, so they fill
+        one slice of ``order``; a vertex without children gets an empty one.
+        Built on first use, so callers that never ask pay nothing.
+        """
+        if self._child_ranges is None:
+            first = [0] * self.n
+            stop = [0] * self.n
+            parent = self.parent
+            for i, c in enumerate(self.order):
+                u = parent[c]
+                if u >= 0:
+                    if not stop[u]:  # a child never sits at 0, so stop 0 means none yet
+                        first[u] = i
+                    stop[u] = i + 1
+            self._child_ranges = first, stop
+        return self._child_ranges
+
     def branch_determinant(self, v: int, u: int):
         """det of the component of the forest minus v that holds its neighbour u.
 
@@ -148,25 +168,19 @@ class TreeKernel:
         its children: the child on the path gives the pair just recomputed,
         v itself gives (1, 0), which drops its branch, and every other child
         its stored (D, P).  The root's D is the answer.  One query costs the
-        children met on the path; the children lists are built on the first
-        such query.
+        children met on the path, read from ``child_ranges``.
         """
         parent = self.parent
         if parent[u] == v:
             return self.D[u]
         if parent[v] != u:
             raise ValueError(f"{u} is not a neighbour of {v}")
-        children = self._children
-        if children is None:
-            children = self._children = [[] for _ in parent]
-            for c, a in enumerate(parent):
-                if a >= 0:
-                    children[a].append(c)
-        D, P, diag, weight = self.D, self.P, self.diag, self.weight
+        first, stop = self.child_ranges()
+        D, P, diag, weight, order = self.D, self.P, self.diag, self.weight, self.order
         d, p = 1, 0
         while u >= 0:
             x, y = diag[u], 1
-            for c in children[u]:
+            for c in order[first[u]:stop[u]]:
                 dc, pc = (d, p) if c == v else (D[c], P[c])
                 x, y = x * dc - weight[c] ** 2 * y * pc, y * dc
             d, p = x, y

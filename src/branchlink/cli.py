@@ -48,6 +48,11 @@ def _enc(value):
     return value
 
 
+def _print_json(payload) -> None:
+    """Write the encoded payload to stdout as indented JSON in one write."""
+    sys.stdout.write(json.dumps(_enc(payload), indent=2) + "\n")
+
+
 class InvalidInput(ValueError):
     """Malformed command-line input; main() reports it with exit code 2."""
 
@@ -277,8 +282,7 @@ def cmd_analyze(args) -> int:
     generators = parse_generators(args.generators)
     report = build_report(generators, minimize_pass=args.minimize, dot_path=args.dot)
     if args.json:
-        json.dump(_enc(report), sys.stdout, indent=2)
-        print()
+        _print_json(report)
     else:
         _print_text_report(report, sys.stdout)
     return 0
@@ -310,8 +314,7 @@ def cmd_bp(args) -> int:
         "d": list(bp.d),
     }
     if args.json:
-        json.dump(_enc(payload), sys.stdout, indent=2)
-        print()
+        _print_json(payload)
     else:
         print(
             f"S({bp.exponents[0]},{bp.exponents[1]},{bp.exponents[2]}): "
@@ -332,8 +335,7 @@ def cmd_splice(args) -> int:
     if args.dot:
         _write_dot(args.dot, _splice_dot(diagram))
     if args.json:
-        json.dump(_enc(payload), sys.stdout, indent=2)
-        print()
+        _print_json(payload)
     else:
         print(f"nodes  : {payload['nodes']}")
         print(f"leaves : {payload['leaves']}")

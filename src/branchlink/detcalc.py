@@ -52,10 +52,6 @@ class LinkClass:
     noncoprime_pairs: tuple[tuple[int, int, int], ...]
 
     @property
-    def is_qhs(self) -> bool:
-        return self.kind is not LinkKind.NOT_QHS
-
-    @property
     def is_zhs(self) -> bool:
         return self.kind is LinkKind.ZHS
 

@@ -11,7 +11,10 @@ built from admissible monomials.
 
 The semigroup condition asks that every node-edge weight be a nonnegative
 combination of the linking numbers l' of the leaves beyond the edge
-(Neumann and Wahl, Geom. Topol. 9, 2005).  Witnesses come from Apery residue
+(Neumann and Wahl, Geom. Topol. 9, 2005).  That condition, the equations'
+admissible monomials and the linking numbers all read the leaves beyond an
+edge and their l' from one walk, ``SpliceDiagram.beyond``.  Witnesses come
+from Apery residue
 tables, the least combination in each residue class modulo the least value,
 built by the round robin of Boecker and Liptak (*A fast and simple algorithm
 for the money changing problem*, Algorithmica 48, 2007): O(k*m) per edge for
@@ -61,41 +64,23 @@ class SpliceDiagram:
     def weight(self, v: int, u: int) -> int:
         return self.weights[(v, u)]
 
-    def node_weight_product(self, v: int) -> int:
-        return math.prod(self.weight(v, u) for u in self.neighbors(v))
-
-    def leaves_beyond(self, v: int, u: int) -> list[int]:
-        """Leaves in the component of the tree minus v that contains u."""
-        seen = {v, u}
-        stack = [u]
+    def beyond(self, v: int, u: int) -> list[tuple[int, int]]:
+        """(w, l'_vw) for each leaf w beyond the edge (v, u), sorted by leaf:
+        l'_vw is the product of the weights off the v-w path at the nodes
+        strictly between v and w, carried down one stack walk from u."""
         found = []
+        stack = [(u, v, 1)]
         while stack:
-            w = stack.pop()
-            if w in self.leaves:
-                found.append(w)
-            for x in self.neighbors(w):
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
+            x, prev, lprime = stack.pop()
+            if x in self.leaves:
+                found.append((x, lprime))
+                continue
+            ahead = [y for y in self.neighbors(x) if y != prev]
+            node = x in self.nodes
+            for y in ahead:
+                off = math.prod(self.weight(x, z) for z in ahead if z != y) if node else 1
+                stack.append((y, x, lprime * off))
         return sorted(found)
-
-    def path(self, v: int, w: int) -> list[int]:
-        parent = {v: None}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            if x == w:
-                break
-            for y in self.neighbors(x):
-                if y not in parent:
-                    parent[y] = x
-                    stack.append(y)
-        if w not in parent:
-            raise ArithmeticError("vertices in different components")
-        out = [w]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
-        return out[::-1]
 
 
 def verify_en_conditions(sd: SpliceDiagram) -> None:
@@ -146,10 +131,8 @@ def splice_from_plumbing(pg: PlumbingGraph) -> SpliceDiagram:
         raise NotZHS("plumbing graph is not an integral homology sphere link")
     tree = pg.tree_kernel()
     parent = tree.parent
-    degree = [int(u >= 0) for u in parent]
-    for u in parent:
-        if u >= 0:
-            degree[u] += 1
+    first, stop = tree.child_ranges()
+    degree = [s - f + (u >= 0) for f, s, u in zip(first, stop, parent)]
     nodes = frozenset(v for v, d in enumerate(degree) if d >= 3)
     leaves = frozenset(v for v, d in enumerate(degree) if d == 1)
     if not nodes:
@@ -194,6 +177,12 @@ def splice_from_plumbing(pg: PlumbingGraph) -> SpliceDiagram:
     return sd
 
 
+def _closed_form_labels(g: int) -> tuple[str, ...]:
+    """Labels of the closed-form layout: node k is vertex k - 1, leaf w is
+    vertex g - 1 + w."""
+    return tuple([f"node{k}" for k in range(1, g)] + [f"leaf{w}" for w in range(g + 1)])
+
+
 def expected_splice_diagram(cd: CharacteristicData) -> SpliceDiagram:
     """Closed-form splice diagram of a family member with integral link.
 
@@ -213,7 +202,7 @@ def expected_splice_diagram(cd: CharacteristicData) -> SpliceDiagram:
         weights[(k - 1, k)] = cd.e[k]
         weights[(k, k - 1)] = cd.beta[k + 1] // cd.e[k + 1]
     sd = SpliceDiagram(
-        labels=tuple([f"node{k}" for k in range(1, g)] + [f"leaf{w}" for w in range(g + 1)]),
+        labels=_closed_form_labels(g),
         nodes=frozenset(range(g - 1)),
         leaves=frozenset(range(leaf, leaf + g + 1)),
         edges=tuple(edges),
@@ -224,27 +213,20 @@ def expected_splice_diagram(cd: CharacteristicData) -> SpliceDiagram:
 
 
 def linking_numbers(sd: SpliceDiagram, v: int, w: int) -> tuple[int, int]:
-    """(l_vw, l'_vw): products of weights adjacent to, not on, the v-w path.
+    """(l_vw, l'_vw) for a leaf w: products of weights adjacent to, not on,
+    the v-w path.
 
-    l' omits the contributions at v and w themselves.  Both are 1 when
-    v == w (empty products).
+    l' omits the contributions at v, so l = l' times v's weights off the
+    edge toward w.  Both are 1 when v == w (empty products).
     """
     if v == w:
         return (1, 1)
-    path = sd.path(v, w)
-    on_path = set(zip(path, path[1:])) | set(zip(path[1:], path))
-    full = 1
-    inner = 1
-    for x in path:
-        if x not in sd.nodes:
-            continue
-        contrib = math.prod(
-            sd.weight(x, u) for u in sd.neighbors(x) if (x, u) not in on_path
-        )
-        full *= contrib
-        if x not in (v, w):
-            inner *= contrib
-    return (full, inner)
+    for u in sd.neighbors(v):
+        lprime = dict(sd.beyond(v, u)).get(w)
+        if lprime is not None:
+            off = math.prod(sd.weight(v, z) for z in sd.neighbors(v) if z != u)
+            return (lprime * off, lprime)
+    raise ValueError(f"{w} is not a leaf of the diagram")
 
 
 @dataclass(frozen=True)
@@ -350,11 +332,10 @@ def check_semigroup_condition(sd: SpliceDiagram) -> SemigroupConditionReport:
     entries = []
     for v in sorted(sd.nodes):
         for u in sd.neighbors(v):
-            lvs = sd.leaves_beyond(v, u)
-            lprimes = tuple(linking_numbers(sd, v, w)[1] for w in lvs)
+            lvs, lprimes = zip(*sd.beyond(v, u))
             target = sd.weight(v, u)
             alphas = _lex_min_combination(target, lprimes)
-            entries.append(EdgeWitness(v, u, target, tuple(lvs), lprimes, alphas))
+            entries.append(EdgeWitness(v, u, target, lvs, lprimes, alphas))
     return SemigroupConditionReport(entries=tuple(entries))
 
 
@@ -399,20 +380,27 @@ def splice_equations(sd: SpliceDiagram, cd: CharacteristicData) -> SpliceEquatio
 
     One equation per node: the leaf monomial z_k^{n_k}, the monomial
     z_{k+1}^{n_{k+1}} for the next level, and (at nodes past the first) the
-    rewriting monomial prod z_j^{b_kj} for the backward edge.  Each monomial
-    is checked to be admissible for its edge and all monomials of an
-    equation are checked to have the same node weight.
+    rewriting monomial prod z_j^{b_kj} for the backward edge.  A diagram
+    with the closed-form labels is used as handed; any other must be
+    isomorphic to ``expected_splice_diagram(cd)`` and is replaced by it.
+
+    Each monomial must be admissible for its edge: its exponents sit on
+    leaves beyond the edge, and sum c*l' over them is the edge weight.
+    That makes every monomial's node weight d_v, since l = l'*(d_v/d_ve)
+    for a leaf beyond the edge e, and the loop makes g - 1 equations for
+    the g + 1 leaves, so neither is checked again.
     """
-    expected = expected_splice_diagram(cd)
-    if not diagrams_isomorphic(sd, expected):
-        raise SemigroupConditionFails(
-            "diagram does not match the closed-form family diagram"
-        )
     g = cd.g
+    if sd.labels != _closed_form_labels(g):
+        expected = expected_splice_diagram(cd)
+        if not diagrams_isomorphic(sd, expected):
+            raise SemigroupConditionFails(
+                "diagram does not match the closed-form family diagram"
+            )
+        sd = expected
     nvars = g + 1
     names = tuple(f"z{w}" for w in range(nvars))
-    node_of = {k: k - 1 for k in range(1, g)}  # expected diagram layout
-    leaf_of = {w: g - 1 + w for w in range(g + 1)}
+    leaf = g - 1  # closed-form layout: node k is vertex k - 1, leaf w is vertex leaf + w
 
     def monomial(exps) -> Monomial:
         vec = [0] * nvars
@@ -422,39 +410,27 @@ def splice_equations(sd: SpliceDiagram, cd: CharacteristicData) -> SpliceEquatio
 
     equations = []
     for k in range(1, g):
-        v = node_of[k]
+        v = k - 1
         # the leaf edge; the forward edge, toward the next node or at the last
         # node the n_g leaf; the backward edge, toward the n_0 leaf at the
         # first node and with the b-monomial after
         pairs = [
-            (leaf_of[k], {k: cd.n[k]}),
-            (node_of[k + 1] if k < g - 1 else leaf_of[g], {k + 1: cd.n[k + 1]}),
+            (leaf + k, {k: cd.n[k]}),
+            (k if k < g - 1 else leaf + g, {k + 1: cd.n[k + 1]}),
         ]
         if k == 1:
-            pairs.append((leaf_of[0], {0: cd.n[0]}))
+            pairs.append((leaf, {0: cd.n[0]}))
         else:
             row = cd.b_row(k)
-            pairs.append((node_of[k - 1], {j: row[j] for j in range(k) if row[j]}))
-        d_v = expected.node_weight_product(v)
+            pairs.append((k - 2, {j: row[j] for j in range(k) if row[j]}))
         for toward, exps in pairs:
-            target = expected.weight(v, toward)
-            total = sum(
-                exps.get(u - leaf_of[0], 0) * linking_numbers(expected, v, u)[1]
-                for u in expected.leaves_beyond(v, toward)
-            )
-            if total != target:
+            lprime = dict(sd.beyond(v, toward))
+            total = sum(c * lprime.get(leaf + w, 0) for w, c in exps.items())
+            if any(leaf + w not in lprime for w in exps) or total != sd.weights.get((v, toward)):
                 raise SemigroupConditionFails(
-                    f"monomial for node {k} toward {expected.labels[toward]} is not "
-                    f"admissible: {total} != {target}"
-                )
-            vweight = sum(c * linking_numbers(expected, v, leaf_of[w])[0] for w, c in exps.items())
-            if vweight != d_v:
-                raise SemigroupConditionFails(
-                    f"node weight of a monomial at node {k} is {vweight}, not {d_v}"
+                    f"monomial for node {k} toward {sd.labels[toward]} is not admissible"
                 )
         equations.append(tuple(monomial(exps) for _, exps in pairs))
-    if len(equations) != len(expected.leaves) - 2:
-        raise ArithmeticError("one splice equation per node was not produced")
     return SpliceEquations(
         variables=names,
         equations=tuple(equations),

@@ -428,6 +428,37 @@ def splice_walk_oracle(pg) -> SpliceDiagram:
     )
 
 
+def linking_numbers_oracle(sd: SpliceDiagram, v: int, w: int) -> tuple[int, int]:
+    """(l_vw, l'_vw) from the v-w path found by a parent-pointer walk: the
+    products of the weights at the path's nodes off the path, l' without
+    the contributions at v and w.  The oracle for ``SpliceDiagram.beyond``
+    and ``linking_numbers``."""
+    if v == w:
+        return (1, 1)
+    parent = {v: None}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for y in sd.neighbors(x):
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    path = [w]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    on_path = set(zip(path, path[1:])) | set(zip(path[1:], path))
+    full = 1
+    inner = 1
+    for x in path:
+        if x not in sd.nodes:
+            continue
+        contrib = math.prod(sd.weight(x, u) for u in sd.neighbors(x) if (x, u) not in on_path)
+        full *= contrib
+        if x not in (v, w):
+            inner *= contrib
+    return (full, inner)
+
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
 

@@ -240,6 +240,32 @@ def test_det_closed_form_is_evaluated_once_per_report(monkeypatch):
     assert report["determinants"]["detA_closed_form"] == report["determinants"]["detA"]
 
 
+def test_analyze_builds_the_closed_form_diagram_once(monkeypatch, capsys):
+    from collections import Counter
+
+    from branchlink import cli, splice
+
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    # classify_link is patched in both modules that imported it by name
+    count(cli, "classify_link")
+    count(splice, "classify_link")
+    count(splice, "expected_splice_diagram")
+    count(splice, "diagrams_isomorphic")
+    assert main(["analyze", "70,105,215,1511", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["splice"]["equations"]
+    assert calls == {"classify_link": 2, "expected_splice_diagram": 1, "diagrams_isomorphic": 1}
+
+
 def test_analyze_dot_assembles_once_and_minimizes_once(monkeypatch, tmp_path, capsys):
     from branchlink import cli
 

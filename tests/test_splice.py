@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -8,8 +9,10 @@ from branchlink.semigroup import derive_from_generators
 from branchlink.qres import compute_qresolution
 from branchlink.detcalc import classify_link
 from branchlink.plumbing import assemble_full_resolution, graph_determinant
+from branchlink import splice
 from branchlink.splice import (
     NotZHS,
+    SemigroupConditionFails,
     SpliceDiagram,
     check_semigroup_condition,
     canonical_form,
@@ -29,6 +32,7 @@ from conftest import (
     apery_oracle,
     criterion_8_extras,
     lex_min_dfs,
+    linking_numbers_oracle,
     plumbing_graph,
     random_zhs_semigroup,
     splice_walk_oracle,
@@ -44,6 +48,43 @@ def single_node_diagram(weights):
         edges=tuple((0, i + 1) for i in range(len(weights))),
         weights={(0, i + 1): w for i, w in enumerate(weights)},
     )
+
+
+def two_node_diagram():
+    """Two nodes whose edge weight 7 at n1 is no combination of the inner
+    linking numbers 5 and 11."""
+    return SpliceDiagram(
+        labels=("n1", "n2", "a", "b", "c", "d"),
+        nodes=frozenset({0, 1}),
+        leaves=frozenset({2, 3, 4, 5}),
+        edges=((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)),
+        weights={
+            (0, 1): 7,
+            (0, 2): 2,
+            (0, 3): 3,
+            (1, 0): 3,
+            (1, 4): 5,
+            (1, 5): 11,
+        },
+    )
+
+
+def criterion_8_zhs():
+    """The integral links of acceptance criterion 8 with g <= 4."""
+    cds = [derive_from_generators(beta) for beta in acceptance_sample()]
+    return [cd for cd in cds + criterion_8_extras() if cd.g <= 4 and classify_link(cd).is_zhs]
+
+
+def component_leaves(sd, v, u):
+    """Leaves of the component of the tree minus v that holds u, by flood fill."""
+    seen = {v, u}
+    stack = [u]
+    while stack:
+        for y in sd.neighbors(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return sorted(sd.leaves & (seen - {v}))
 
 
 def test_integral_example_matches_closed_form_weights():
@@ -178,6 +219,35 @@ def test_edge_determinant_value():
     assert det == 35 * 43 - (3 * 2) * (7 * 5)
 
 
+def test_beyond_and_linking_numbers_match_the_path_oracle():
+    # every (node, neighbour, leaf) triple of closed-form diagrams g = 2-6,
+    # of the diagrams read off the criterion-8 plumbing graphs with g <= 4,
+    # and of the hand-built two-node diagram
+    rng = random.Random(97)
+    diagrams = [
+        expected_splice_diagram(derive_from_generators(random_zhs_semigroup(g, rng)))
+        for g in range(2, 7)
+        for _ in range(3)
+    ]
+    diagrams += [
+        splice_from_plumbing(assemble_full_resolution(compute_qresolution(cd)))
+        for cd in criterion_8_zhs()
+    ]
+    diagrams.append(two_node_diagram())
+    triples = 0
+    for sd in diagrams:
+        for v in sd.nodes:
+            for u in sd.neighbors(v):
+                walk = sd.beyond(v, u)
+                assert [w for w, _ in walk] == component_leaves(sd, v, u)
+                for w, lprime in walk:
+                    l, lp = linking_numbers_oracle(sd, v, w)
+                    assert lprime == lp
+                    assert linking_numbers(sd, v, w) == (l, lp)
+                    triples += 1
+    assert len(diagrams) == 34 and triples >= 400
+
+
 def test_linking_numbers_single_node():
     sd = single_node_diagram((2, 3, 5))
     l, lp = linking_numbers(sd, 0, 1)
@@ -279,13 +349,50 @@ def test_monomial_weights_are_homogeneous():
         eqs = splice_equations(exp, cd)
         for k, eq in enumerate(eqs.equations, start=1):
             node = k - 1
-            d_v = exp.node_weight_product(node)
+            d_v = math.prod(exp.weight(node, u) for u in exp.neighbors(node))
             for mono in eq:
                 weight = sum(
-                    c * linking_numbers(exp, node, g - 1 + w)[0]
+                    c * linking_numbers_oracle(exp, node, g - 1 + w)[0]
                     for w, c in enumerate(mono.exponents)
                 )
                 assert weight == d_v
+
+
+def test_splice_equations_use_the_closed_form_diagram_they_are_handed(monkeypatch):
+    calls = Counter()
+    for name in ("expected_splice_diagram", "diagrams_isomorphic", "classify_link"):
+        real = getattr(splice, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(splice, name, counting)
+    cd = derive_from_generators((70, 105, 215, 1511))
+    sd = splice_from_plumbing(assemble_full_resolution(compute_qresolution(cd)))
+    exp = expected_splice_diagram(cd)
+    calls.clear()
+    eqs = splice_equations(exp, cd)
+    assert not calls
+    # a diagram with other labels is checked against the closed form and
+    # replaced by it
+    assert splice_equations(sd, cd) == eqs
+    assert calls == {"expected_splice_diagram": 1, "diagrams_isomorphic": 1, "classify_link": 1}
+
+
+def test_splice_equations_refuse_an_altered_closed_form_weight():
+    rng = random.Random(101)
+    altered = 0
+    for g in (2, 3, 4):
+        cd = derive_from_generators(random_zhs_semigroup(g, rng))
+        exp = expected_splice_diagram(cd)
+        splice_equations(exp, cd)
+        for edge, w in exp.weights.items():
+            bad = replace(exp, weights={**exp.weights, edge: w + 1})
+            with pytest.raises(SemigroupConditionFails):
+                splice_equations(bad, cd)
+            altered += 1
+    assert altered == 3 + 6 + 9
 
 
 def test_canonical_form_distinguishes_weights():
@@ -297,23 +404,7 @@ def test_canonical_form_distinguishes_weights():
 
 
 def test_semigroup_condition_failure_is_reported():
-    # 7 is not a combination of the inner linking numbers 5 and 11
-    labels = ("n1", "n2", "a", "b", "c", "d")
-    sd = SpliceDiagram(
-        labels=labels,
-        nodes=frozenset({0, 1}),
-        leaves=frozenset({2, 3, 4, 5}),
-        edges=((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)),
-        weights={
-            (0, 1): 7,
-            (0, 2): 2,
-            (0, 3): 3,
-            (1, 0): 3,
-            (1, 4): 5,
-            (1, 5): 11,
-        },
-    )
-    report = check_semigroup_condition(sd)
+    report = check_semigroup_condition(two_node_diagram())
     assert not report.satisfied
     failing = [e for e in report.entries if not e.satisfied]
     assert any(e.weight == 7 and set(e.lprimes) == {5, 11} for e in failing)
@@ -349,10 +440,8 @@ def test_residue_tables_and_witnesses_match_the_oracles():
 
 
 def test_semigroup_witnesses_match_the_dfs_on_criterion_8_inputs():
-    # the integral links of acceptance criterion 8 with g <= 4, on the
-    # diagrams read off their plumbing graphs
-    cds = [derive_from_generators(beta) for beta in acceptance_sample()]
-    inputs = [cd for cd in cds + criterion_8_extras() if cd.g <= 4 and classify_link(cd).is_zhs]
+    # on the diagrams read off their plumbing graphs
+    inputs = criterion_8_zhs()
     entries = 0
     for cd in inputs:
         sd = splice_from_plumbing(assemble_full_resolution(compute_qresolution(cd)))

@@ -201,6 +201,25 @@ def test_parent_ward_walk_matches_rerooting_oracle_at_scale():
     assert zero_pivots >= 10
 
 
+def test_child_ranges_slice_the_bfs_order():
+    rng = random.Random(37)
+    seen = {"several roots": 0, "childless root": 0}
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        shape = random_forest(rng, n, rng.randint(1, min(n, 6)))
+        tree = TreeKernel([-2] * n, [(i, j, 1) for i, j in shape])
+        children = [[] for _ in range(n)]
+        for c, u in enumerate(tree.parent):
+            if u >= 0:
+                children[u].append(c)
+        first, stop = tree.child_ranges()
+        for v in range(n):
+            assert sorted(tree.order[first[v]:stop[v]]) == children[v]
+        seen["several roots"] += len(tree.roots) > 1
+        seen["childless root"] += any(not children[r] for r in tree.roots)
+    assert min(seen.values()) >= 50, seen
+
+
 def test_pullback_matches_fraction_oracle_on_seeded_graphs():
     for trial in range(12):
         cd = derive_from_generators(random_plane_semigroup(3 + trial % 3, 4, seed=f"tk:{trial}"))
