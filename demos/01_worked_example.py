@@ -48,7 +48,7 @@ print("\nfull resolution:", pg.n, "curves; strict transforms at",
       [strict_self_intersection(qr, k) for k in range(1, cd.g)])
 mult = pullback_on_full_resolution(pg, qr)
 print("pull-back multiplicities:",
-      sorted({pg.labels[v]: m for v, m in mult.items()}.items()))
+      sorted(zip(pg.labels, mult)))
 print("H1 of the link:", h1_link(pg))
 
 rc = rupture_census(qr)

@@ -177,10 +177,11 @@ def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict
     matrix = build_intersection_matrix(qr)
     det_a = det_exact(matrix)
     dets = {"detA": det_a}
+    closed = det_closed_form(qr)
+    if closed != det_a:
+        raise ArithmeticError("det A routes disagree")
     if g >= 3:
-        dets["detA_closed_form"] = det_closed_form(qr)
-        if dets["detA_closed_form"] != det_a:
-            raise ArithmeticError("det A routes disagree")
+        dets["detA_closed_form"] = closed
     dets["detS"] = det_S(cd, qr)
     report["determinants"] = dets
 
@@ -204,7 +205,7 @@ def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict
         raise ArithmeticError("torsion order is not det(S)")
     multiplicities = pl.pullback_on_full_resolution(graph, qr)
     report["plumbing"] = pl.to_json_dict(graph)
-    report["plumbing"]["multiplicities"] = [multiplicities[v] for v in range(graph.n)]
+    report["plumbing"]["multiplicities"] = multiplicities
     report["h1"] = {"free_rank": h1.free_rank, "torsion": list(h1.torsion)}
 
     if g >= 3:
@@ -366,7 +367,7 @@ def _splice_dot(sd) -> str:
 def cmd_graph(args) -> int:
     generators = parse_generators(args.generators)
     cd = derive_from_generators(generators)
-    graph = pl.assemble_full_resolution(compute_qresolution(cd))
+    graph = _checked_graph(compute_qresolution(cd), classify_link(cd))
     if args.minimize:
         graph, _ = pl.minimize(graph)
     text = pl.to_dot(graph)
@@ -435,7 +436,6 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except (
-        AssertionError,
         ArithmeticError,
         pl.NotNegativeDefinite,
         pl.NotATree,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .semigroup import CharacteristicData
-from .qres import QResolutionData, RequiresG3, compute_qresolution
+from .qres import QResolutionData, compute_qresolution
 
 
 class MismatchedLengths(ValueError):
@@ -106,41 +106,38 @@ def r_sequence(a, p, d) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-_CLOSED_FORM = "_det_closed_form"  # where det_closed_form keeps its value on qr
+def _explicit_quotient(qr: QResolutionData) -> tuple[int, int]:
+    """|det A| as an integer pair (num, den), by the explicit quotient
+
+    n_g prod_{k=2}^{g-1} N_k^{r_{k-1}-r_k} / (N_1^{r_1} d prod_{k=1}^{g-2} d_{k(k+1)}^{r_k})
+
+    with d the order at P.  No exponent is negative: r_{k+1} divides r_k.
+    """
+    g = qr.g
+    num = qr.cd.n[g]
+    for k in range(2, g):
+        num *= qr.N[k] ** (qr.r[k - 1] - qr.r[k])
+    den = qr.N[1] ** qr.r[1] * qr.d_last
+    for k in range(1, g - 1):
+        den *= qr.d_edge[k] ** qr.r[k]
+    return num, den
 
 
 def det_closed_form(qr: QResolutionData) -> Fraction:
-    """det of the intersection matrix by the R-product formula (g >= 3).
+    """det of the intersection matrix by the R-product formula, for every g >= 2.
 
-    Also evaluates the explicit quotient n_g prod N_k^{r_{k-1}-r_k} /
-    (N_1^{r_1} d prod d_{k(k+1)}^{r_k}); ArithmeticError if the two differ.
-    Evaluated on the first call and kept on the qr instance.
+    The sign is (-1)^(r_1 + ... + r_{g-1}).  Checks the product against the
+    explicit quotient of ``_explicit_quotient``; ArithmeticError if they
+    differ.  At g = 2 both reduce to -a_1.
     """
-    g = qr.g
-    if g < 3:
-        raise RequiresG3("closed-form determinant needs g >= 3")
-    det = qr.__dict__.get(_CLOSED_FORM)
-    if det is None:
-        det = _det_closed_form(qr)
-        qr.__dict__[_CLOSED_FORM] = det  # frozen: bypass __setattr__
-    return det
-
-
-def _det_closed_form(qr: QResolutionData) -> Fraction:
     g = qr.g
     R = r_sequence(qr.a, qr.p, qr.d_edge)
     sign = (-1) ** sum(qr.r[1:])
     det = sign * R[g - 1]
     for l in range(1, g - 1):
         det *= R[l] ** (qr.r[l] - qr.r[l + 1])
-    explicit = Fraction(sign * qr.cd.n[g])
-    for k in range(2, g):
-        explicit *= Fraction(qr.N[k]) ** (qr.r[k - 1] - qr.r[k])
-    explicit /= Fraction(qr.N[1]) ** qr.r[1]
-    explicit /= qr.d_last
-    for k in range(1, g - 1):
-        explicit /= Fraction(qr.d_edge[k]) ** qr.r[k]
-    if det != explicit:
+    num, den = _explicit_quotient(qr)
+    if det != sign * Fraction(num, den):
         raise ArithmeticError("R-product and explicit determinant disagree")
     return det
 
@@ -177,21 +174,15 @@ def census_order_product(qr: QResolutionData) -> int:
 def det_S(cd: CharacteristicData, qr: QResolutionData | None = None) -> int:
     """Determinant of the surface singularity (torsion order of the link).
 
-    For g >= 3 evaluates the product formula over the levels and the
-    independent route |det A| * d * prod(orders); both must agree and be a
-    positive integer.  For g = 2 the singularity is Brieskorn-Pham with
-    exponents (n_0, n_1, n_2) and the corresponding determinant is used,
-    cross-checked against the blow-up route.
+    Evaluates the product formula over the levels and checks it against the
+    independent route |det A| * prod(orders), with |det A| the explicit
+    quotient, as one integer identity.  At g = 2 the singularity is
+    Brieskorn-Pham with exponents (n_0, n_1, n_2), and its determinant is
+    one more check.  Every route must agree on a positive integer.
     """
     if qr is None:
         qr = compute_qresolution(cd)
     g = cd.g
-    if g == 2:
-        value = classify_brieskorn_pham(cd.n[0], cd.n[1], cd.n[2]).determinant
-        blowup = abs(Fraction(qr.a[1])) * census_order_product(qr)
-        if blowup != value:
-            raise ArithmeticError("Brieskorn-Pham and blow-up determinants disagree")
-        return value
     product = 1
     for k in range(1, g):
         dk = qr.N[k] // qr.M[k]
@@ -203,14 +194,12 @@ def det_S(cd: CharacteristicData, qr: QResolutionData | None = None) -> int:
         if exp1 < 0 or exp2 < 0:
             raise ArithmeticError(f"negative exponent at level {k} of det(S)")
         product *= dk ** exp1 * (qr.N[k] // lcm_from_k) ** exp2
-    # the value det_closed_form kept on qr, if a caller already asked for it
-    closed = qr.__dict__.get(_CLOSED_FORM)
-    if closed is None:
-        closed = det_closed_form(qr)
     # census_order_product already includes the order at P
-    other = abs(closed) * census_order_product(qr)
-    if other != product:
+    num, den = _explicit_quotient(qr)
+    if num * census_order_product(qr) != product * den:
         raise ArithmeticError("det(S) routes disagree")
+    if g == 2 and classify_brieskorn_pham(cd.n[0], cd.n[1], cd.n[2]).determinant != product:
+        raise ArithmeticError("Brieskorn-Pham and product determinants disagree")
     return product
 
 

@@ -263,8 +263,8 @@ def classify_topologically(pg: PlumbingGraph) -> LinkClass:
     return LinkClass(kind=kind, witnesses=(), noncoprime_pairs=())
 
 
-def pullback_on_full_resolution(pg: PlumbingGraph, qr: QResolutionData) -> dict[int, int]:
-    """Multiplicities of the total transform of the curve, per vertex.
+def pullback_on_full_resolution(pg: PlumbingGraph, qr: QResolutionData) -> list[int]:
+    """Multiplicities of the total transform of the curve, indexed by vertex.
 
     Solves (pullback . E_i) = 0 for every exceptional vertex, with the
     strict transform of the curve entering through the arrow.  The solution
@@ -283,7 +283,7 @@ def pullback_on_full_resolution(pg: PlumbingGraph, qr: QResolutionData) -> dict[
         for vid in pg.strict[k - 1]:
             if sol[vid] != qr.N[k]:
                 raise ArithmeticError(f"level {k} multiplicity is not N_k")
-    return dict(enumerate(sol))
+    return sol
 
 
 def minimize(pg: PlumbingGraph) -> tuple[PlumbingGraph, list[str]]:

@@ -67,7 +67,6 @@ class CensusPoint:
     total: int
     per_component: int
     raw: CyclicType | TwoRowType
-    cyclic: CyclicType
     hj: HJType
     chain: BambooChain
     curves: tuple[tuple[int, int], ...]
@@ -145,18 +144,14 @@ def exceptional_genus(qr: QResolutionData, k: int) -> int:
 
 
 def _census_point(kind, level, total, per_component, raw, curves) -> CensusPoint:
-    if isinstance(raw, TwoRowType):
-        cyc = normalize_cyclic(reduce_two_row(raw))
-    else:
-        cyc = normalize_cyclic(raw)
-    hj = to_hj(cyc)
+    cyc = reduce_two_row(raw) if isinstance(raw, TwoRowType) else raw
+    hj = to_hj(normalize_cyclic(cyc))
     return CensusPoint(
         kind=kind,
         level=level,
         total=total,
         per_component=per_component,
         raw=raw,
-        cyclic=cyc,
         hj=hj,
         chain=chain_for(hj),
         curves=curves,
@@ -285,20 +280,13 @@ def compute_qresolution(cd: CharacteristicData) -> QResolutionData:
 
 
 def _self_intersections(g, n, r, N, d_edge, d_last) -> tuple[Fraction, ...]:
+    # a_k = (below + above) / N_k: nothing lies below level 1, and above the
+    # last level only the strict-transform branch remains
     a = [Fraction(0)]
-    if g == 2:
-        # single weighted blow-up: only the strict-transform branch remains
-        a.append(Fraction(n[2], d_last * N[1]))
-        return tuple(a)
-    a.append(Fraction(N[2], d_edge[1] * N[1]))
-    for k in range(2, g - 1):
-        a.append(
-            (Fraction(r[k - 1] * N[k - 1], r[k] * d_edge[k - 1]) + Fraction(N[k + 1], d_edge[k]))
-            / N[k]
-        )
-    a.append(
-        (Fraction(r[g - 2] * N[g - 2], d_edge[g - 2]) + Fraction(n[g], d_last)) / N[g - 1]
-    )
+    for k in range(1, g):
+        below = Fraction(r[k - 1] * N[k - 1], r[k] * d_edge[k - 1]) if k > 1 else 0
+        above = Fraction(N[k + 1], d_edge[k]) if k < g - 1 else Fraction(n[g], d_last)
+        a.append((below + above) / N[k])
     return tuple(a)
 
 
@@ -335,8 +323,7 @@ def strict_self_intersection(qr: QResolutionData, k: int) -> Fraction:
     """
     total = -qr.a[k]
     for pt in qr.points_on_level(k):
-        if not pt.is_smooth:
-            total -= pt.total // qr.r[k] * pt.correction_for_level(k)
+        total -= pt.total // qr.r[k] * pt.correction_for_level(k)
     return total
 
 

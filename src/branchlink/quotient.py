@@ -37,9 +37,6 @@ class CyclicType:
     a: int
     b: int
 
-    def reduced(self) -> "CyclicType":
-        return CyclicType(self.d, self.a % self.d, self.b % self.d)
-
     @property
     def is_normalized(self) -> bool:
         return math.gcd(self.d, self.a) == 1 and math.gcd(self.d, self.b) == 1
@@ -134,19 +131,13 @@ def normalize_cyclic(t: CyclicType) -> CyclicType:
         raise BadInput(f"order must be positive, got {t.d}")
     d = t.d
     a, b = t.a % d, t.b % d
-    if d == 1:
-        return CyclicType(1, 0, 0)
     k = math.gcd(math.gcd(a, b), d)
     d //= k
-    if d == 1:
-        return CyclicType(1, 0, 0)
     a = (a // k) % d
     b = (b // k) % d
     da = math.gcd(d, a)
     db = math.gcd(d, b)
     d2 = d // (da * db)
-    if d2 == 1:
-        return CyclicType(1, 0, 0)
     out = CyclicType(d2, (a // da) % d2, (b // db) % d2)
     if not out.is_normalized:
         raise ArithmeticError(f"normalizing {t} gave {out}, which is not normalized")
@@ -161,8 +152,6 @@ def to_hj(t: CyclicType) -> HJType:
     """
     if not t.is_normalized:
         raise NotNormalized(f"{t} is not normalized")
-    if t.d == 1:
-        return HJType(1, 0, 0)
     ainv = pow(t.a % t.d, -1, t.d)
     q = (ainv * t.b) % t.d
     return HJType(t.d, q, pow(q, -1, t.d))
@@ -180,8 +169,6 @@ def axis_corrections(hj: HJType) -> tuple[int, int]:
     weight-q axis {x2 = 0} loses q/d.  Returns (slot-1, slot-2) numerators;
     (0, 0) for a smooth point.
     """
-    if hj.d == 1:
-        return (0, 0)
     return (hj.qprime, hj.q)
 
 

@@ -87,7 +87,7 @@ def test_criterion_1_worked_example_fidelity():
     assert strict_self_intersection(qr, 2) == -1
     pg = assemble_full_resolution(qr)
     mult = pullback_on_full_resolution(pg, qr)
-    values = {pg.labels[v]: m for v, m in mult.items()}
+    values = {pg.labels[v]: m for v, m in enumerate(mult)}
     assert values["E1.1"] == values["E1.2"] == 6
     assert values["E2.1"] == 26
     assert all(m == 2 for lbl, m in values.items() if lbl.startswith("Q0"))

@@ -130,6 +130,19 @@ def test_graph_subcommand(capsys, tmp_path):
     assert "[0, -1]" not in out.read_text()  # the -1 curve was contracted
 
 
+def test_graph_checks_the_classifier_routes(monkeypatch, capsys):
+    from branchlink import cli
+    from branchlink.detcalc import LinkClass, LinkKind
+
+    monkeypatch.setattr(
+        cli.pl, "classify_topologically", lambda graph: LinkClass(LinkKind.NOT_QHS, (), ())
+    )
+    assert main(["graph", "70,105,215,1511"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: classifier routes disagree\n"
+
+
 def test_cli_process_entry_point():
     proc = run_cli("analyze", "2,3,4")
     assert proc.returncode == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from branchlink.semigroup import derive_from_generators, random_plane_semigroup
-from branchlink.qres import RequiresG3, compute_qresolution
+from branchlink.qres import compute_qresolution
 from branchlink._linalg import TreeKernel
 from branchlink.detcalc import (
     IndexOutOfRange,
@@ -123,9 +123,17 @@ def test_r_sequence_recurrence_equals_direct_for_random_rationals():
             assert R[l] == r_direct(a, p, d, l)
 
 
-def test_det_closed_form_requires_g3():
-    with pytest.raises(RequiresG3):
-        det_closed_form(qres_of((6, 10, 31)))
+def test_g2_routes_agree_with_brieskorn_pham():
+    # at g = 2 the general formulas run unchanged: one level, no edges
+    for trial in range(300):
+        max_n = 2 + trial % 9
+        cd = derive_from_generators(random_plane_semigroup(2, max_n, seed=f"g2:{trial}"))
+        qr = compute_qresolution(cd)
+        assert qr.a[1] == Fraction(cd.n[2], qr.d_last * qr.N[1])
+        det_a = det_exact(build_intersection_matrix(qr))
+        assert det_closed_form(qr) == det_a == -qr.a[1]
+        bp = classify_brieskorn_pham(cd.n[0], cd.n[1], cd.n[2])
+        assert det_S(cd, qr) == bp.determinant == abs(det_a) * census_order_product(qr)
 
 
 def test_det_closed_form_equals_elimination_on_randoms():

@@ -229,7 +229,7 @@ def test_pullback_matches_fraction_oracle_on_seeded_graphs():
         for vid, mult in pg.arrow:
             rhs[vid] -= mult
         _, expected = fraction_solve(graph_rows(pg), rhs)
-        assert list(pullback_on_full_resolution(pg, qr).values()) == expected
+        assert pullback_on_full_resolution(pg, qr) == expected
         pivots, _ = fraction_solve(graph_rows(pg))
         assert graph_determinant(pg) == abs(math.prod(pivots, start=Fraction(1)))
         assert is_negative_definite(pg) is all(p < 0 for p in pivots)
@@ -338,6 +338,13 @@ try:
 except ArithmeticError as exc:
     print("det_S:", exc)
 detcalc.census_order_product = real_orders
+real_bp = detcalc.classify_brieskorn_pham
+detcalc.classify_brieskorn_pham = lambda *exps: replace(real_bp(*exps), determinant=2)
+try:  # g = 2: S(5, 3, 2) has determinant 1
+    print("det_S g=2:", detcalc.det_S(derive_from_generators((6, 10, 31))))
+except ArithmeticError as exc:
+    print("det_S g=2:", exc)
+detcalc.classify_brieskorn_pham = real_bp
 from branchlink import quotient, semigroup
 real_runs = quotient._hj_runs
 quotient._hj_runs = lambda d, q: ((3, 1), (1, 2))  # a kappa below 2
@@ -379,6 +386,7 @@ print("exit", cli.main(["analyze", "8,12,26,53"]))
     assert proc.returncode == 0, proc.stderr
     assert "pullback: level 1 multiplicity is not N_k" in proc.stdout
     assert "det_S: det(S) routes disagree" in proc.stdout
+    assert "det_S g=2: Brieskorn-Pham and product determinants disagree" in proc.stdout
     assert "chain: malformed chain runs ((3, 1), (1, 2)) for 7/3" in proc.stdout
     assert "semigroup: b_10 inconsistent with n_1*beta_1/beta_0" in proc.stdout
     assert "qres: Euler characteristic mismatch at level 1" in proc.stdout
