@@ -231,7 +231,7 @@ def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict
 
     if link.is_zhs:
         report["splice"], _ = _splice_section(cd, graph)
-    if dot_path:
+    if dot_path is not None:
         _write_dot(dot_path, pl.to_dot(drawn))
     return report
 
@@ -333,7 +333,7 @@ def cmd_splice(args) -> int:
         return 0
     graph = _checked_graph(compute_qresolution(cd), link)
     payload, diagram = _splice_section(cd, graph)
-    if args.dot:
+    if args.dot is not None:
         _write_dot(args.dot, _splice_dot(diagram))
     if args.json:
         _print_json(payload)
@@ -371,7 +371,7 @@ def cmd_graph(args) -> int:
     if args.minimize:
         graph, _ = pl.minimize(graph)
     text = pl.to_dot(graph)
-    if args.dot:
+    if args.dot is not None:
         _write_dot(args.dot, text)
     else:
         sys.stdout.write(text)

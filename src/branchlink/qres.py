@@ -25,11 +25,9 @@ from .quotient import (
     CyclicType,
     HJType,
     TwoRowType,
-    axis_corrections,
-    chain_for,
-    normalize_cyclic,
+    cyclic_to_hj,
+    hj_continued_fraction,
     reduce_two_row,
-    to_hj,
 )
 
 
@@ -80,11 +78,16 @@ class CensusPoint:
         return self.hj.d == 1
 
     def correction_for_level(self, k: int) -> Fraction:
-        """Self-intersection correction q^/d the level-k curve loses here."""
+        """Self-intersection correction the level-k curve loses here.
+
+        When the germ 1/d(1, q) is resolved, the strict transform of the
+        weight-1 axis {x1 = 0} (slot 1) loses q'/d from its
+        self-intersection and the weight-q axis {x2 = 0} (slot 2) loses q/d;
+        both are 0 at a smooth point.
+        """
         for level, slot in self.curves:
             if level == k:
-                num = axis_corrections(self.hj)[slot - 1]
-                return Fraction(num, self.hj.d)
+                return Fraction((self.hj.qprime, self.hj.q)[slot - 1], self.hj.d)
         raise KeyError(f"level {k} does not pass through this point")
 
 
@@ -145,7 +148,7 @@ def exceptional_genus(qr: QResolutionData, k: int) -> int:
 
 def _census_point(kind, level, total, per_component, raw, curves) -> CensusPoint:
     cyc = reduce_two_row(raw) if isinstance(raw, TwoRowType) else raw
-    hj = to_hj(normalize_cyclic(cyc))
+    hj = cyclic_to_hj(cyc)
     return CensusPoint(
         kind=kind,
         level=level,
@@ -153,7 +156,7 @@ def _census_point(kind, level, total, per_component, raw, curves) -> CensusPoint
         per_component=per_component,
         raw=raw,
         hj=hj,
-        chain=chain_for(hj),
+        chain=hj_continued_fraction(hj.d, hj.q),
         curves=curves,
     )
 

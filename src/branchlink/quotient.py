@@ -6,17 +6,17 @@ encoded, as (kappa, count) runs: a type d/q needs O(number of runs) steps
 and memory, however long the chain (a run of 2s can be 10^5 vertices long
 while the whole chain has a dozen runs).  Only the assembly of the full
 plumbing graph expands the runs into vertices.  A small planar-lattice
-toolkit at the end gives an independent toric route to the same chains; the
-main pipeline uses it only to check the chain at the last singular point,
-the tests use it as an oracle everywhere.  Every internal check raises
-ArithmeticError, so it also runs under ``python -O``.
+toolkit at the end gives an independent toric route to the same chains, in
+integers: the lattice is held by its Hermite basis and walked one fan point
+per chain vertex.  The main pipeline uses it only to check the chain at the
+last singular point, the tests use it as an oracle everywhere.  Every
+internal check raises ArithmeticError, so it also runs under ``python -O``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._linalg import continuant, xgcd
 
@@ -161,17 +161,6 @@ def cyclic_to_hj(t: CyclicType) -> HJType:
     return to_hj(normalize_cyclic(t))
 
 
-def axis_corrections(hj: HJType) -> tuple[int, int]:
-    """Self-intersection correction numerators for the two axis curves.
-
-    When the germ at a chain point is resolved, the strict transform of the
-    weight-1 axis {x1 = 0} loses q'/d from its self-intersection and the
-    weight-q axis {x2 = 0} loses q/d.  Returns (slot-1, slot-2) numerators;
-    (0, 0) for a smooth point.
-    """
-    return (hj.qprime, hj.q)
-
-
 def reduce_two_row(t: TwoRowType) -> CyclicType:
     """Collapse a two-row type to a single cyclic type.
 
@@ -260,10 +249,6 @@ def _hj_runs(d: int, q: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, count) for k, count in runs)
 
 
-def chain_for(hj: HJType) -> BambooChain:
-    return hj_continued_fraction(hj.d, hj.q)
-
-
 # ---------------------------------------------------------------------------
 # Planar lattice toolkit (toric route)
 # ---------------------------------------------------------------------------
@@ -296,66 +281,59 @@ def _hnf2(vectors) -> tuple[tuple[int, int], tuple[int, int]]:
     return (tuple(pivot), (0, g2))
 
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int, int]
 
 
-def _cross(u: Point, v: Point) -> Fraction:
+def _cross(u: Point, v: Point) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
 @dataclass(frozen=True)
 class PlanarLattice:
-    """Rank-2 lattice Z^2 + sum_i Z * (1/d_i)(u_i, v_i) inside Q^2."""
+    """Rank-2 lattice N = Z^2 + sum_i Z * (1/d_i)(u_i, v_i) inside Q^2.
 
-    basis: tuple[Point, Point]
+    Held as the integer lattice scale*N, scale = lcm(d_i), by its Hermite
+    basis (a, b), (0, c) with a, c > 0 and 0 <= b < c; every point is an
+    integer pair in units of 1/scale, which no chain read off the fan
+    depends on.
+    """
 
-    @classmethod
-    def from_rows(cls, rows) -> "PlanarLattice":
-        """rows: iterable of (d, u, v) fractional generators."""
-        rows = list(rows)
-        D = math.lcm(*(d for d, _, _ in rows)) if rows else 1
-        gens = [(D, 0), (0, D)]
-        for d, u, v in rows:
-            s = D // d
-            gens.append((u % d * s, v % d * s))
-        b1, b2 = _hnf2(gens)
-        return cls(
-            basis=(
-                (Fraction(b1[0], D), Fraction(b1[1], D)),
-                (Fraction(b2[0], D), Fraction(b2[1], D)),
-            )
-        )
+    a: int
+    b: int
+    c: int
 
     @classmethod
     def of(cls, t) -> "PlanarLattice":
+        """The lattice of a CyclicType or TwoRowType: rows (d, u, v) of generators."""
         if isinstance(t, CyclicType):
-            return cls.from_rows([(t.d, t.a, t.b)])
-        if isinstance(t, TwoRowType):
-            return cls.from_rows([(t.d1, t.a11, t.a12), (t.d2, t.a21, t.a22)])
-        raise TypeError(f"unsupported type {t!r}")
+            rows = [(t.d, t.a, t.b)]
+        elif isinstance(t, TwoRowType):
+            rows = t.rows()
+        else:
+            raise TypeError(f"unsupported type {t!r}")
+        D = math.lcm(*(d for d, _, _ in rows))
+        gens = [(D, 0), (0, D)] + [(u % d * (D // d), v % d * (D // d)) for d, u, v in rows]
+        (a, b), (_, c) = _hnf2(gens)
+        return cls(a, b, c)
 
     @property
-    def covolume(self) -> Fraction:
-        return abs(_cross(self.basis[0], self.basis[1]))
-
-    def coordinates(self, p: Point) -> tuple[Fraction, Fraction]:
-        (b00, b01), (b10, b11) = self.basis
-        det = b00 * b11 - b01 * b10
-        x = (p[0] * b11 - p[1] * b10) / det
-        y = (b00 * p[1] - b01 * p[0]) / det
-        return (x, y)
+    def covolume(self) -> int:
+        return self.a * self.c
 
     def contains(self, p: Point) -> bool:
-        x, y = self.coordinates(p)
-        return x.denominator == 1 and y.denominator == 1
+        x, y = p
+        return x % self.a == 0 and (y - (x // self.a) * self.b) % self.c == 0
 
-    def primitive_on_ray(self, x, y) -> Point:
-        """Smallest lattice point on the ray through (x, y) != 0."""
-        cx, cy = self.coordinates((Fraction(x), Fraction(y)))
-        L = math.lcm(cx.denominator, cy.denominator)
-        G = math.gcd(int(cx * L), int(cy * L))
-        t = Fraction(L, G)
-        p = (Fraction(x) * t, Fraction(y) * t)
+    def primitive_on_ray(self, x: int, y: int) -> Point:
+        """Smallest lattice point t*(x, y) on the ray through the integer point
+        (x, y) != 0: with (x, y) reduced, a | t*x takes s = a/gcd(a, x) | t, and
+        then c | (t/s)*(s*y - (s*x/a)*b)."""
+        h = math.gcd(x, y)
+        x, y = x // h, y // h
+        a, b, c = self.a, self.b, self.c
+        s = a // math.gcd(a, x)
+        t = s * c // math.gcd(c, s * y - (s * x // a) * b)
+        p = (t * x, t * y)
         if not self.contains(p):
             raise ArithmeticError(f"primitive point {p} is not in the lattice")
         return p
@@ -366,54 +344,39 @@ class PlanarLattice:
         The interior points v_1, ..., v_r are the exceptional curves of the
         minimal resolution of the corresponding quotient germ, ordered from
         the {x1 = 0} axis; consecutive points satisfy v_{i-1} + v_{i+1} =
-        kappa_i * v_i with kappa_i >= 2.
+        kappa_i * v_i with kappa_i >= 2.  With g = gcd(b, c) the axes give
+        v0 = (a*c/g, 0) and vend = (0, c), of fan order d = c/g, and
+        v1 = (j*v0 + vend)/d = (j*a, g) lies in the lattice for j*b/g = 1 mod d.
+        Each step takes kappa = ceil(x_{i-1}/x_i), so x falls strictly to 0.
         """
         v0 = self.primitive_on_ray(1, 0)
         vend = self.primitive_on_ray(0, 1)
-        d = _cross(v0, vend) / self.covolume
-        if d.denominator != 1 or d <= 0:
-            raise ArithmeticError(f"fan order {d} is not a positive integer")
-        d = int(d)
+        area = _cross(v0, vend)
+        d, rem = divmod(area, self.covolume)
+        g = math.gcd(self.b, self.c)
+        if rem or d * g != self.c:
+            raise ArithmeticError(f"fan order {area}/{self.covolume} is not the integer c/g > 0")
         if d == 1:
             return [v0, vend]
-        v1 = None
-        for j in range(1, d):
-            cand = (
-                (j * v0[0] + vend[0]) / d,
-                (j * v0[1] + vend[1]) / d,
-            )
-            if self.contains(cand):
-                v1 = cand
-                break
-        if v1 is None:
+        v1 = (pow(self.b // g, -1, d) * self.a, g)
+        if not self.contains(v1):
             raise ArithmeticError("no basis completion found on the hull")
         pts = [v0, v1]
-        while True:
-            d_prev = _cross(pts[-2], vend)
-            d_cur = _cross(pts[-1], vend)
-            if d_cur == 0:
-                break
-            kappa = math.ceil(d_prev / d_cur)
-            nxt = (
-                kappa * pts[-1][0] - pts[-2][0],
-                kappa * pts[-1][1] - pts[-2][1],
-            )
-            pts.append(nxt)
-            if _cross(nxt, vend) == 0:
-                if nxt != vend:
-                    raise ArithmeticError("fan walk did not land on the second axis")
-                break
+        while pts[-1][0]:
+            (x0, y0), (x1, y1) = pts[-2:]
+            kappa = -(-x0 // x1)
+            pts.append((kappa * x1 - x0, kappa * y1 - y0))
+        if pts[-1] != vend:
+            raise ArithmeticError("fan walk did not land on the second axis")
         return pts
 
     def chain_kappas_from_first_axis(self) -> tuple[int, ...]:
         """Chain weights read from the {x1 = 0} end (reverse of BambooChain.kappas)."""
-        pts = self.fan_boundary()
+        xs = [x for x, _ in self.fan_boundary()]
         ks = []
-        for i in range(1, len(pts) - 1):
-            prev, cur, nxt = pts[i - 1], pts[i], pts[i + 1]
-            coord = 0 if cur[0] else 1
-            k = (prev[coord] + nxt[coord]) / cur[coord]
-            if k.denominator != 1 or k < 2:
-                raise ArithmeticError(f"fan weight {k} is not an integer >= 2")
-            ks.append(int(k))
+        for prev, cur, nxt in zip(xs, xs[1:], xs[2:]):
+            k, rem = divmod(prev + nxt, cur)
+            if rem or k < 2:
+                raise ArithmeticError(f"fan weight ({prev} + {nxt})/{cur} is not an integer >= 2")
+            ks.append(k)
         return tuple(ks)

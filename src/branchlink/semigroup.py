@@ -130,7 +130,9 @@ def derive_from_generators(beta) -> CharacteristicData:
     """
     beta = tuple(int(x) for x in beta)
     if len(beta) < 3:
-        raise NotAPlaneSemigroup(f"need g >= 2, got {len(beta) - 1}", witness=beta)
+        raise NotAPlaneSemigroup(
+            f"need g >= 2: 3 or more generators, got {len(beta)}", witness=beta
+        )
     if any(x <= 0 for x in beta):
         raise NotAPlaneSemigroup("generators must be positive", witness=beta)
     if any(x >= y for x, y in zip(beta, beta[1:])):

@@ -4,14 +4,25 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from branchlink.plumbing import PlumbingGraph
 from branchlink.quotient import _cross
 from branchlink.semigroup import derive_from_generators, random_plane_semigroup
 from branchlink.splice import SpliceDiagram
+
+
+def src_env() -> dict:
+    """The environment with the package source first on PYTHONPATH, for
+    tests that run the package in a child Python process."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def naive_det(rows) -> Fraction:
@@ -112,8 +123,8 @@ def curve_boundary_intersections(lat, exp_second: int, exp_first: int):
     for i in range(len(pts) - 1):
         if _cross(pts[i], w) >= 0 and _cross(w, pts[i + 1]) >= 0:
             det = _cross(pts[i], pts[i + 1])
-            alpha = _cross(w, pts[i + 1]) / det
-            beta = _cross(pts[i], w) / det
+            alpha = Fraction(_cross(w, pts[i + 1]), det)
+            beta = Fraction(_cross(pts[i], w), det)
             assert alpha.denominator == 1 and beta.denominator == 1
             return [(j, int(m)) for j, m in ((i, alpha), (i + 1, beta)) if m]
     raise AssertionError("curve direction outside the first quadrant")

@@ -7,7 +7,7 @@ import pytest
 from branchlink.cli import build_report, main, parse_generators
 from branchlink.semigroup import derive_from_generators
 from branchlink.detcalc import det_S
-from conftest import plumbing_graph
+from conftest import plumbing_graph, src_env
 
 
 def run_cli(*args):
@@ -15,6 +15,7 @@ def run_cli(*args):
         [sys.executable, "-m", "branchlink", *args],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     return proc
 
@@ -163,6 +164,10 @@ def test_cli_process_entry_point():
         ["analyze", "8,12,26,53", "--dot", "/dev/null/x.dot"],
         ["graph", "8,12,26,53", "--dot", "/dev/null/x.dot"],
         ["splice", "70,105,215,1511", "--dot", "/dev/null/x.dot"],
+        ["analyze", "8,12,26,53", "--dot", ""],
+        ["graph", "8,12,26,53", "--dot", ""],
+        ["splice", "70,105,215,1511", "--dot", ""],
+        ["analyze", '{"generators":[8,12'],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, capsys):

@@ -1,11 +1,12 @@
 """Every script in demos/ runs to completion and prints its walk-through."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,13 +18,11 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         cwd=ROOT,
         timeout=120,
     )

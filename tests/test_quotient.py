@@ -8,10 +8,10 @@ from branchlink.quotient import (
     BadInput,
     BambooChain,
     CyclicType,
+    HJType,
     NotNormalized,
     PlanarLattice,
     TwoRowType,
-    axis_corrections,
     cyclic_to_hj,
     hj_continued_fraction,
     normalize_cyclic,
@@ -114,7 +114,7 @@ def test_reduce_two_row_matches_lattice_oracle():
         lat = PlanarLattice.of(t)
         v0 = lat.primitive_on_ray(1, 0)
         vend = lat.primitive_on_ray(0, 1)
-        order = (v0[0] * vend[1] - v0[1] * vend[0]) / lat.covolume
+        order = Fraction(v0[0] * vend[1] - v0[1] * vend[0], lat.covolume)
         assert order.denominator == 1
         assert int(order) == normalize_cyclic(reduce_two_row(t)).d
 
@@ -226,10 +226,8 @@ def test_chain_determinant_matches_matrix_determinant():
 
 
 def test_axis_corrections():
-    hj = cyclic_to_hj(CyclicType(7, 1, 3))
-    assert axis_corrections(hj) == (5, 3)
-    smooth = cyclic_to_hj(CyclicType(1, 0, 0))
-    assert axis_corrections(smooth) == (0, 0)
+    assert cyclic_to_hj(CyclicType(7, 1, 3)) == HJType(7, 3, 5)
+    assert cyclic_to_hj(CyclicType(1, 0, 0)) == HJType(1, 0, 0)
 
 
 def test_lattice_walk_matches_continued_fraction():

@@ -43,8 +43,9 @@ def test_third_example_by_gcd_oracle():
 
 
 def test_g1_is_rejected():
-    with pytest.raises(NotAPlaneSemigroup):
-        derive_from_generators((2, 3))
+    for beta in [(), (8,), (2, 3)]:
+        with pytest.raises(NotAPlaneSemigroup, match=f"3 or more generators, got {len(beta)}$"):
+            derive_from_generators(beta)
 
 
 @pytest.mark.parametrize(

@@ -191,6 +191,9 @@ def test_not_zhs_rejected():
         splice_from_plumbing(pg)
     with pytest.raises(NotZHS):
         expected_splice_diagram(cd)
+    # a single (-1) curve plumbs S^3, an integral sphere without nodes
+    with pytest.raises(NotZHS, match="bamboo link"):
+        splice_from_plumbing(plumbing_graph([-1], []))
 
 
 def test_single_node_brieskorn_diagram():
@@ -265,6 +268,8 @@ def test_linking_numbers_along_internal_path():
     # contributions at the endpoints
     assert lp == cd.n[1] == cd.beta[0] // cd.e[1]
     assert l == lp * cd.n[2] * cd.n[3]
+    with pytest.raises(ValueError, match="not a leaf"):
+        linking_numbers(exp, 0, node2)
 
 
 def test_lprime_closed_form_for_backward_edges():
@@ -393,6 +398,11 @@ def test_splice_equations_refuse_an_altered_closed_form_weight():
                 splice_equations(bad, cd)
             altered += 1
     assert altered == 3 + 6 + 9
+    # a diagram read off another integral input's plumbing graph is refused
+    cd = derive_from_generators((70, 105, 215, 1511))
+    sd = splice_from_plumbing(assemble_full_resolution(compute_qresolution(cd)))
+    with pytest.raises(SemigroupConditionFails, match="closed-form family diagram"):
+        splice_equations(sd, derive_from_generators((130, 182, 1027, 2055)))
 
 
 def test_canonical_form_distinguishes_weights():

@@ -31,6 +31,7 @@ from conftest import (
     random_forest,
     random_zhs_semigroup,
     rerooting_oracle,
+    src_env,
 )
 
 
@@ -381,7 +382,11 @@ cli.pl.classify_topologically = lambda graph: LinkClass(LinkKind.ZHS, (), ())
 print("exit", cli.main(["analyze", "8,12,26,53"]))
 """
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "pullback: level 1 multiplicity is not N_k" in proc.stdout
