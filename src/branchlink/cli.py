@@ -2,9 +2,9 @@
 
 Subcommands: analyze (full report), random (generator sampling), bp
 (Brieskorn-Pham classification), splice (diagram/equations only), graph
-(DOT only).  All integers in JSON output are decimal strings so consumers
-never face word-size limits.  Exit codes: 0 success, 2 invalid input,
-1 failed internal check.
+(DOT only).  One writer, ``_render``, writes all ``--json`` output, with
+every integer a decimal string so consumers never face word-size limits.
+Exit codes: 0 success, 2 invalid input, 1 failed internal check.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .semigroup import (
     NotAPlaneSemigroup,
@@ -20,7 +21,7 @@ from .semigroup import (
     monomial_curve_equations,
     random_plane_semigroup,
 )
-from .qres import compute_qresolution, rupture_census, strict_self_intersection
+from .qres import compute_qresolution, rupture_census
 from .detcalc import (
     build_intersection_matrix,
     classify_brieskorn_pham,
@@ -33,24 +34,35 @@ from . import plumbing as pl
 from . import splice as sp
 
 
-def _enc(value):
-    """Recursively stringify integers and fractions for JSON output."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, (list, tuple)):
-        return [_enc(x) for x in value]
-    if isinstance(value, dict):
-        return {str(k): _enc(v) for k, v in value.items()}
-    return value
+def _render(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` with every int and Fraction a string.
+
+    Types match exactly, so a bool is never an int; any other type, or a
+    dict key that is not a str, raises TypeError.
+    """
+    kind = type(value)
+    if kind is int or kind is Fraction:
+        return f'"{value}"'
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        items, ends = [_render(x, inner) for x in value], "[]"
+    elif kind is dict:  # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [f"{encode_basestring_ascii(k)}: {_render(v, inner)}" for k, v in value.items()]
+        ends = "{}"
+    else:
+        raise TypeError(f"cannot render {kind.__name__} as JSON")
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
 
 
 def _print_json(payload) -> None:
-    """Write the encoded payload to stdout as indented JSON in one write."""
-    sys.stdout.write(json.dumps(_enc(payload), indent=2) + "\n")
+    """Write the rendered payload to stdout in one write."""
+    sys.stdout.write(_render(payload) + "\n")
 
 
 class InvalidInput(ValueError):
@@ -215,9 +227,7 @@ def build_report(generators, minimize_pass: bool = False, dot_path=None) -> dict
             "e_last_rupture": rc.e_last_rupture,
             "e_last_contractible": rc.e_last_contractible,
         }
-    report["strict_self_intersections"] = [
-        strict_self_intersection(qr, k) for k in range(1, g)
-    ]
+    report["strict_self_intersections"] = [graph.self_int[level[0]] for level in graph.strict]
 
     drawn = graph
     if minimize_pass:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import os
 import random
@@ -588,3 +589,25 @@ def dense_invariant_factors(matrix) -> list[int]:
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0, "broken divisibility chain in Smith normal form"
     return [f for f in factors if f]
+
+
+def _enc(value):
+    """Recursively stringify integers and fractions for JSON output."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+    if isinstance(value, (list, tuple)):
+        return [_enc(x) for x in value]
+    if isinstance(value, dict):
+        return {str(k): _enc(v) for k, v in value.items()}
+    return value
+
+
+def json_oracle(payload) -> str:
+    """The JSON text ``cli._render`` must reproduce: the old ``--json`` route,
+    ``json.dumps`` with ``indent=2`` of the value with every int and Fraction
+    stringified."""
+    return json.dumps(_enc(payload), indent=2)

@@ -45,9 +45,9 @@ def test_analyze_json_roundtrip(capsys):
 
 def test_json_values_are_decimal_strings():
     report = build_report((70, 105, 215, 1511))
-    from branchlink.cli import _enc
+    from branchlink.cli import _render
 
-    payload = _enc(report)
+    payload = json.loads(_render(report))
     assert payload["determinants"]["detS"] == "1"
     assert payload["characteristic"]["beta"] == ["70", "105", "215", "1511"]
     assert payload["link"]["class"] == "ZHS"
@@ -256,6 +256,32 @@ def test_det_closed_form_is_evaluated_once_per_report(monkeypatch):
     report = build_report((8, 12, 26, 53))
     assert len(calls) == 1
     assert report["determinants"]["detA_closed_form"] == report["determinants"]["detA"]
+
+
+@pytest.mark.parametrize(
+    "generators", [(8, 12, 26, 53), (70, 105, 215, 1511), (12, 45, 184), (18, 60, 184, 555)]
+)
+def test_strict_self_intersections_are_computed_at_most_g_times_per_report(
+    generators, monkeypatch
+):
+    from branchlink import cli, plumbing, qres
+
+    calls = []
+    real = qres.strict_self_intersection
+
+    def counting(qr, k):
+        calls.append(k)
+        return real(qr, k)
+
+    # patched where it is defined and wherever a module could import it by name
+    monkeypatch.setattr(qres, "strict_self_intersection", counting)
+    monkeypatch.setattr(plumbing, "strict_self_intersection", counting)
+    monkeypatch.setattr(cli, "strict_self_intersection", counting, raising=False)
+    report = build_report(generators)
+    g = report["characteristic"]["g"]
+    assert 0 < len(calls) <= g
+    qr = qres.compute_qresolution(derive_from_generators(generators))
+    assert report["strict_self_intersections"] == [real(qr, k) for k in range(1, g)]
 
 
 def test_analyze_builds_the_closed_form_diagram_once(monkeypatch, capsys):

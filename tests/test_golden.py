@@ -6,7 +6,9 @@ partial-resolution determinant moved onto the tree kernel, so any change in
 the rendered numbers, their order or their formatting shows up here.  The
 corpus is the two PAPER.md examples and eight ``random_plane_semigroup``
 draws with g = 2..6, through ``analyze --json`` with and without
-``--minimize``, plus ``splice --json`` on the integral homology spheres.
+``--minimize``, plus ``splice --json`` on the integral homology spheres,
+plus ``bp --json`` on three Brieskorn-Pham triples (one per link class),
+recorded before the JSON writer replaced ``json.dumps``.
 ``golden_dot_digests.json`` holds the SHA-256 of the file that
 ``analyze --dot PATH`` writes for the two PAPER.md examples, with and
 without ``--minimize``, recorded while ``--dot`` still assembled the graph
